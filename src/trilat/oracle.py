@@ -45,6 +45,7 @@ class OracleResult:
     cluster_radius: float
     global_value: float
     round_values: Tuple[float, ...] = ()
+    capped_out: int = 0  # candidates dropped at _SURVIVOR_CAP, all rounds
 
 
 def default_grid(config: SensorConfig, resolution: int = 512,
@@ -61,6 +62,9 @@ def default_grid(config: SensorConfig, resolution: int = 512,
                     resolution, refine_rounds, refine_factor)
 
 
+_Terms = Sequence[Sequence[float]]  # sensor positions as [[x, y], ...]
+
+
 def _sensor_arrays(config: SensorConfig) -> Tuple[np.ndarray, np.ndarray]:
     zs = np.array([[z.x, z.y] for z in config.Z], dtype=float)
     dsq = np.array(config.d, dtype=float) ** 2
@@ -75,8 +79,14 @@ def _evaluate(zs: np.ndarray, dsq: np.ndarray,
     return acc
 
 
-def _objective_scalar(zs: np.ndarray, dsq: np.ndarray,
+def _objective_scalar(zs: _Terms, dsq: Sequence[float],
                       x: float, y: float) -> float:
+    """The objective at one point, on plain floats.
+
+    Callers pass ``zs.tolist()`` and ``dsq.tolist()``: Python floats round
+    exactly as numpy scalars do, at a fraction of the cost, and refinement
+    makes ~10^4 calls per representative.
+    """
     total = 0.0
     for (zx, zy), dj2 in zip(zs, dsq):
         total += abs((x - zx) ** 2 + (y - zy) ** 2 - dj2)
@@ -96,47 +106,94 @@ def _check_bounds(config: SensorConfig, spec: GridSpec) -> None:
 
 def _prune(px: np.ndarray, py: np.ndarray, vals: np.ndarray, vmin: float,
            band: float, lip: float, cell: float
-           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keep cells plausibly containing a minimum; cap count deterministically."""
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Keep cells plausibly containing a minimum; cap count deterministically.
+
+    The last item is how many cells within the cut the cap dropped.
+    """
     cut = vmin + max(band, lip * cell)
     keep = vals <= cut
     px, py, vals = px[keep], py[keep], vals[keep]
-    if px.size > _SURVIVOR_CAP:
+    dropped = max(px.size - _SURVIVOR_CAP, 0)
+    if dropped:
         order = np.lexsort((py, px, vals))[:_SURVIVOR_CAP]
         px, py, vals = px[order], py[order], vals[order]
-    return px, py, vals
+    return px, py, vals, dropped
 
 
-class _DisjointSet:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+# Forward neighbours of a cell: itself and four of its eight neighbours, so
+# each pair of neighbouring cells is visited once.
+_FORWARD_CELLS = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
 
 
 def _cluster(px: np.ndarray, py: np.ndarray, radius: float) -> List[List[int]]:
+    """Connected components of the graph linking points within ``radius``.
+
+    Returns the components as ascending index lists, ordered by their least
+    index.  The points are bucketed into square cells and only points in
+    the same or neighbouring cells are compared, so the work is linear in
+    the number of points and candidate pairs.  The result is exactly that
+    of comparing all pairs:
+
+    - Cells are at least ``radius`` wide: the side is ``radius * (1 +
+      1e-9)`` plus 1e-15 of the points' span, which covers the rounding of
+      the cell index (under 4.5e-16 of the span across a pair).  Two points
+      within ``radius`` therefore fall in the same cell or in neighbouring
+      ones, and every such pair is a candidate.  The side is also at least
+      2^-30 of the span, so cell keys fit in 64 bits.
+    - A candidate pair is linked by the same test, ``dx*dx + dy*dy <=
+      radius*radius``, that an all-pairs comparison makes.
+    - Labels start as indices.  Each round lowers the label held at a
+      link's label to the least label across the link, then every point
+      takes its label's label; at the fixed point the labels are equal
+      across every link and each is its component's least index.
+    """
     n = px.size
-    dsu = _DisjointSet(n)
-    if n > 1:
-        dx = px[:, None] - px[None, :]
-        dy = py[:, None] - py[None, :]
+    if n == 0:
+        return []
+    x0, y0 = float(px.min()), float(py.min())
+    span = max(float(px.max()) - x0, float(py.max()) - y0)
+    side = max(radius * (1.0 + 1e-9) + 1e-15 * span, span * 2.0 ** -30) or 1.0
+    cx = np.floor((px - x0) / side).astype(np.int64)
+    cy = np.floor((py - y0) / side).astype(np.int64)
+    stride = int(cy.max()) + 2  # so no point has the key of (cx + 1, -1)
+    key = cx * stride + cy
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    pos = np.arange(n)
+    ii, jj = [], []
+    for ox, oy in _FORWARD_CELLS:
+        target = skey + (ox * stride + oy)
+        lo = np.searchsorted(skey, target, side="left")
+        hi = np.searchsorted(skey, target, side="right")
+        if (ox, oy) == (0, 0):
+            lo = pos + 1  # pairs within a cell once, never a point with itself
+        counts = hi - lo
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        ii.append(np.repeat(pos, counts))
+        jj.append(first + np.arange(total))
+    labels = pos
+    if ii:
+        a = order[np.concatenate(ii)]
+        b = order[np.concatenate(jj)]
+        dx = px[a] - px[b]
+        dy = py[a] - py[b]
         close = dx * dx + dy * dy <= radius * radius
-        ii, jj = np.nonzero(np.triu(close, k=1))
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            dsu.union(i, j)
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(dsu.find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
+        a, b = a[close], b[close]
+        while True:
+            new = labels.copy()
+            np.minimum.at(new, labels[a], labels[b])
+            np.minimum.at(new, labels[b], labels[a])
+            new = new[new]
+            if np.array_equal(new, labels):
+                break
+            labels = new
+    members = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[members], prepend=-1))
+    return [g.tolist() for g in np.split(members, starts[1:])]
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float,
@@ -161,7 +218,7 @@ _POLISH_DIRECTIONS = ((1.0, 0.0), (0.0, 1.0),
                       (math.sqrt(0.5), -math.sqrt(0.5)))
 
 
-def _polish(zs: np.ndarray, dsq: np.ndarray, x: float, y: float,
+def _polish(zs: _Terms, dsq: Sequence[float], x: float, y: float,
             half: float, cycles: int = 60) -> Tuple[float, float]:
     """Golden-section line searches cycling axis and diagonal directions.
 
@@ -188,7 +245,7 @@ def _polish(zs: np.ndarray, dsq: np.ndarray, x: float, y: float,
     return x, y
 
 
-def _vertex_snap(config: SensorConfig, zs: np.ndarray, dsq: np.ndarray,
+def _vertex_snap(config: SensorConfig, zs: _Terms, dsq: Sequence[float],
                  x: float, y: float, window: float) -> Tuple[float, float]:
     """Exact local refinement at nonsmooth points.
 
@@ -227,7 +284,7 @@ def _vertex_snap(config: SensorConfig, zs: np.ndarray, dsq: np.ndarray,
     return best_x, best_y
 
 
-def _arc_descend(config: SensorConfig, zs: np.ndarray, dsq: np.ndarray,
+def _arc_descend(config: SensorConfig, zs: _Terms, dsq: Sequence[float],
                  x: float, y: float, window: float) -> Tuple[float, float]:
     """Slide along each nearby measurement circle to lower the value.
 
@@ -255,7 +312,7 @@ def _arc_descend(config: SensorConfig, zs: np.ndarray, dsq: np.ndarray,
     return x, y
 
 
-def _refine_rep(config: SensorConfig, zs: np.ndarray, dsq: np.ndarray,
+def _refine_rep(config: SensorConfig, zs: _Terms, dsq: Sequence[float],
                 x: float, y: float, half: float) -> Tuple[float, float]:
     """Full local refinement: line-search polish, then snap/arc alternation."""
     x, y = _polish(zs, dsq, x, y, half)
@@ -296,8 +353,8 @@ def brute_force_minimize(config: SensorConfig,
     vmin = float(vals.min())
     round_values = [vmin]
     cell = math.hypot(dx, dy)
-    px, py, vals = _prune(px, py, vals, vmin,
-                          1e-3 * (1.0 + abs(vmin)), lip, cell)
+    px, py, vals, capped_out = _prune(px, py, vals, vmin,
+                                      1e-3 * (1.0 + abs(vmin)), lip, cell)
 
     m = max(2, int(round(spec.refine_factor)))
     for rnd in range(spec.refine_rounds):
@@ -316,7 +373,9 @@ def brute_force_minimize(config: SensorConfig,
         cell = math.hypot(dx, dy)
         final = rnd == spec.refine_rounds - 1
         band = (1e-6 if final else 1e-3) * (1.0 + abs(vmin))
-        px, py, vals = _prune(allx, ally, vals, vmin, band, lip, cell)
+        px, py, vals, dropped = _prune(allx, ally, vals, vmin, band, lip,
+                                       cell)
+        capped_out += dropped
         round_values.append(vmin)
 
     cluster_radius = 2.0 * cell
@@ -327,10 +386,11 @@ def brute_force_minimize(config: SensorConfig,
         reps.append((float(px[best]), float(py[best])))
 
     half = 4.0 * cell
+    terms, dsq_terms = zs.tolist(), dsq.tolist()
     polished: List[Tuple[float, float, float]] = []
     for x, y in reps:
-        qx, qy = _refine_rep(config, zs, dsq, x, y, half)
-        polished.append((qx, qy, _objective_scalar(zs, dsq, qx, qy)))
+        qx, qy = _refine_rep(config, terms, dsq_terms, x, y, half)
+        polished.append((qx, qy, _objective_scalar(terms, dsq_terms, qx, qy)))
     global_value = min(v for _, _, v in polished)
     # After snapping, converged values are exact to rounding, so a tight
     # band separates genuine ties from valley stragglers.
@@ -349,7 +409,7 @@ def brute_force_minimize(config: SensorConfig,
                        float(qv[best])))
     minima.sort(key=lambda entry: (entry[0].x, entry[0].y))
     return OracleResult(tuple(minima), cluster_radius, global_value,
-                        tuple(round_values))
+                        tuple(round_values), capped_out)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +471,7 @@ def objective_table(config: SensorConfig,
     Entries within tie_tol (relative) of the least value are flagged; pass a
     display-level tolerance when the inputs themselves are rounded.
     """
-    zs, dsq = _sensor_arrays(config)
+    zs, dsq = (a.tolist() for a in _sensor_arrays(config))
     circles = config.circles()
     values: List[Tuple[str, float]] = []
     for label, i, j, k in _TABLE_PAIRS:

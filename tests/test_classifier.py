@@ -103,6 +103,19 @@ def test_isosceles_delegates_to_equilateral_near_the_line():
     assert sol.multiplicity == 3
 
 
+def test_isosceles_just_above_the_equilateral_height():
+    # threshold P once raised ArithmeticError here, where its two printed
+    # forms part by cancellation (see test_thresholds)
+    rng = random.Random(20241018)
+    for _ in range(1000):
+        r = rng.uniform(0.5, 4.0)
+        s = S3 / 2.0 * r * (1.0 + 10.0 ** rng.uniform(-9.0, -4.0))
+        d1 = rng.uniform(0.05, 10.0)
+        d3 = rng.uniform(0.05, 10.0)
+        sol = solve_isosceles(r, s, d1, d3)
+        assert 1 <= sol.multiplicity <= 5
+
+
 def test_solution_points_reported_with_values():
     sol = solve_isosceles(2.0, 3.0, 6.1, 5.4)
     for cand in sol.points:

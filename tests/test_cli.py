@@ -48,6 +48,16 @@ def test_solve_five_way_exact(tmp_path, capsys):
     assert payload["derivation"]
 
 
+def test_solve_just_above_the_equilateral_height(tmp_path, capsys):
+    # once a traceback from threshold P's cross-check of two printed forms
+    inst = {"r": 2, "s": 1.732050824889385, "d": [30, 30, 2]}
+    rc, out, _ = run(capsys, ["solve", write_instance(tmp_path, inst)])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["schema"] == "trilat/1"
+    assert 1 <= payload["multiplicity"] <= 5
+
+
 def test_solve_from_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(FIVE_WAY_EXACT)))
     rc, out, _ = run(capsys, ["solve", "-"])

@@ -4,7 +4,9 @@ Everything here goes through brute_force_minimize or its helpers; no test
 consults the classifier, so a bug cannot cancel out across the two routes.
 """
 import math
+import random
 
+import numpy as np
 import pytest
 
 from conftest import S3, canonical
@@ -96,6 +98,154 @@ class TestBruteForce:
             <= 1e-9 * (1.0 + abs(lo.global_value))
         for p, _ in lo.minima:
             assert min(distance(p, q) for q, _ in hi.minima) < 1e-6
+
+
+# --- clustering and the scalar objective ------------------------------------
+
+def _reference_cluster(px, py, radius):
+    """All-pairs clustering: distance matrix plus union-find."""
+    n = px.size
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    if n > 1:
+        dx = px[:, None] - px[None, :]
+        dy = py[:, None] - py[None, :]
+        close = dx * dx + dy * dy <= radius * radius
+        for i, j in zip(*np.nonzero(np.triu(close, k=1))):
+            ri, rj = find(int(i)), find(int(j))
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[r] for r in sorted(groups)]
+
+
+def _shuffled(rng, px, py):
+    order = rng.permutation(px.size)
+    return px[order], py[order]
+
+
+def _point_sets():
+    rng = np.random.default_rng(4)
+    yield "empty", np.array([]), np.array([]), 1.0
+    yield "single", np.array([0.3]), np.array([-2.0]), 0.1
+    pts = np.repeat(rng.uniform(-1.0, 1.0, (5, 2)), 7, axis=0)
+    yield "coincident", *_shuffled(rng, pts[:, 0], pts[:, 1]), 0.05
+    yield "all-one-point", np.full(9, 1.5), np.full(9, -0.5), 0.0
+    # spacings of exactly the radius, along both axes and a diagonal; the
+    # long row splits if cells are narrower than the radius by 1e-3
+    yield "exact-radius-x", 0.5 * np.arange(2000.0), np.zeros(2000), 0.5
+    k = np.arange(40.0)
+    yield "exact-radius-y", np.full(40, 3.0), -0.5 * k, 0.5
+    yield "exact-radius-diag", 0.3 * k, 0.4 * k, 0.5
+    yield "just-beyond-radius", 0.5 * k, np.zeros(40), np.nextafter(0.5, 0.0)
+    # chains across many cells, in every forward-neighbour direction
+    t = np.arange(600.0)
+    for name, ux, uy in (("chain-x", 1.0, 0.0), ("chain-up", 0.6, 0.8),
+                         ("chain-down", 0.6, -0.8), ("chain-y", 0.0, -1.0)):
+        yield name, *_shuffled(rng, 0.9 * ux * t, 0.9 * uy * t), 1.0
+    rad = 3.0 + 0.01 * t
+    theta = np.cumsum(0.7 / rad)
+    yield "spiral", *_shuffled(rng, rad * np.cos(theta),
+                               rad * np.sin(theta)), 0.8
+    # a radius far below the span: cells are then 2^-30 of the span wide
+    base = rng.uniform(0.0, 1e6, (300, 2))
+    pts = np.concatenate([base, base + rng.uniform(-7e-7, 7e-7, (300, 2))])
+    yield "tiny-radius", *_shuffled(rng, pts[:, 0], pts[:, 1]), 1e-6
+    for seed in range(6):
+        gen = np.random.default_rng(seed)
+        centres = gen.uniform(-10.0, 10.0, (8, 2))
+        pts = (centres[gen.integers(0, 8, 1500)]
+               + gen.normal(0.0, 0.3, (1500, 2)))
+        yield f"clumps-{seed}", pts[:, 0], pts[:, 1], gen.uniform(0.05, 0.5)
+    # survivors of a refine round: child lattice points, then the parents
+    # that spawned them; with odd m the middle child sits on its parent
+    for m in (4, 3):
+        gen = np.random.default_rng(m)
+        dx, dy = 0.013, 0.021
+        cells = np.unique(gen.integers(0, 40, (150, 2)), axis=0)
+        px = 1.7 + (cells[:, 0] + 0.5) * dx
+        py = -0.4 + (cells[:, 1] + 0.5) * dy
+        ox = ((np.arange(m) + 0.5) / m - 0.5) * dx
+        oy = ((np.arange(m) + 0.5) / m - 0.5) * dy
+        cx = (px[:, None, None] + ox[None, :, None]
+              + np.zeros((1, 1, m))).ravel()
+        cy = (py[:, None, None] + np.zeros((1, m, 1))
+              + oy[None, None, :]).ravel()
+        allx = np.concatenate([cx, px])
+        ally = np.concatenate([cy, py])
+        keep = np.sort(gen.choice(allx.size, 1200, replace=False))
+        yield (f"refine-round-m{m}", allx[keep], ally[keep],
+               2.0 * math.hypot(dx / m, dy / m))
+
+
+@pytest.mark.parametrize("px,py,radius", [pytest.param(*case[1:], id=case[0])
+                                          for case in _point_sets()])
+def test_cluster_matches_all_pairs_reference(px, py, radius):
+    assert oracle._cluster(px, py, radius) == _reference_cluster(px, py, radius)
+
+
+def test_objective_scalar_on_floats_is_bit_identical():
+    cfg = canonical(2.0, 3.0, 6.1, 5.4)
+    zs, dsq = oracle._sensor_arrays(cfg)
+    terms, dsq_terms = zs.tolist(), dsq.tolist()
+    rng = random.Random(8)
+    pts = [(rng.uniform(-12.0, 12.0), rng.uniform(-12.0, 12.0))
+           for _ in range(5000)]
+    grid = oracle._evaluate(zs, dsq, np.array([p[0] for p in pts]),
+                            np.array([p[1] for p in pts]))
+    for (x, y), g in zip(pts, grid.tolist()):
+        v = oracle._objective_scalar(terms, dsq_terms, x, y)
+        # numpy scalars are what the refinement used to see
+        assert v == oracle._objective_scalar(zs, dsq, x, y)
+        # libm pow rounds a square within an ulp of numpy's x*x
+        assert abs(v - g) <= 8 * math.ulp(max(dsq_terms) + x * x + y * y)
+
+
+class TestSurvivorCap:
+    def test_prune_reports_what_the_cap_dropped(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_SURVIVOR_CAP", 3)
+        vals = np.array([0.5, 0.1, 9.0, 0.2, 0.3, 0.0])
+        px = np.arange(6.0)
+        out = oracle._prune(px, -px, vals, 0.0, 1.0, 0.0, 1.0)
+        assert out[0].tolist() == [5.0, 1.0, 3.0]
+        assert out[3] == 2
+        out = oracle._prune(px, -px, vals, 0.0, 0.15, 0.0, 1.0)
+        assert out[0].tolist() == [1.0, 5.0] and out[3] == 0
+
+    def test_capped_out_totals_every_round(self, monkeypatch):
+        cap = oracle._SURVIVOR_CAP
+        dropped = []
+        prune = oracle._prune
+
+        def recording(px, py, vals, vmin, band, lip, cell):
+            kept = int(np.count_nonzero(vals <= vmin + max(band, lip * cell)))
+            dropped.append(max(kept - cap, 0))
+            return prune(px, py, vals, vmin, band, lip, cell)
+
+        monkeypatch.setattr(oracle, "_prune", recording)
+        # a general layout where the cap fires
+        cfg = SensorConfig((Point2(-2.2, -3.7), Point2(4.1, -1.9),
+                            Point2(-0.6, 4.3)), (3.4, 5.9, 4.8))
+        res = brute_force_minimize(cfg, default_grid(cfg, resolution=192,
+                                                     refine_rounds=6))
+        assert len(dropped) == 7
+        assert res.capped_out == sum(dropped) > 0
+
+    def test_capped_out_zero_when_the_cap_never_fires(self):
+        zs = (Point2(-1, 0), Point2(1, 0), Point2(0.2, 2.2))
+        src = Point2(0.25, 0.8)
+        cfg = SensorConfig(zs, tuple(distance(src, z) for z in zs))
+        res = brute_force_minimize(cfg, default_grid(cfg, resolution=64,
+                                                     refine_rounds=2))
+        assert res.capped_out == 0
 
 
 class TestGenerateInstance:

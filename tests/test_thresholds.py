@@ -137,6 +137,34 @@ def test_P_exceeds_B_whenever_defined():
         assert p > b
 
 
+def _P_leg_form(r, s):
+    """P printed in (base length, leg length) rather than (r, s)."""
+    leg_sq = s * s + r * r / 4.0
+    r_sq = r * r
+    return math.sqrt(r_sq / 4.0 + (leg_sq - r_sq / 4.0)
+                     * ((leg_sq + r_sq) / (leg_sq - r_sq)) ** 2)
+
+
+def test_P_printed_forms_agree_off_the_equilateral_height():
+    rng = random.Random(13)
+    for k in range(2000):
+        r = rng.uniform(0.1, 10.0)
+        lift = 1e-3 if k < 200 else 1e-3 * 10.0 ** rng.uniform(0.0, 4.0)
+        s = S3 / 2.0 * r * (1.0 + lift)
+        p = th.threshold_P(r, s)
+        leg = _P_leg_form(r, s)
+        assert abs(p - leg) <= 1e-12 * max(p, leg)
+
+
+def test_P_defined_just_above_the_equilateral_height():
+    rng = random.Random(17)
+    for _ in range(1000):
+        r = rng.uniform(0.1, 10.0)
+        s = S3 / 2.0 * r * (1.0 + 10.0 ** rng.uniform(-9.0, -4.0))
+        p = th.threshold_P(r, s)
+        assert p is not None and math.isfinite(p) and p > r
+
+
 def test_Q_value():
     # 8 r^2 s / (4 s^2 - 3 r^2) on the sharp side
     q = th.threshold_Q(2.0, 3.0)
