@@ -6,17 +6,19 @@ candidate scan that is exhaustive for this objective.
 """
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import NoBracket, PreconditionViolation
+from .errors import PreconditionViolation
 from .geometry import (SQRT3_2, Point2, SensorConfig, canonical_frame,
                        centroid_points, circle_circle_intersect, config_scale,
                        distance, n3_point)
 from .regions import objective_value
-from .thresholds import (compute_bundle, d3_star_root, threshold_M,
-                         threshold_P, threshold_P_flat, threshold_R)
+from .thresholds import (ROW_CACHE_SIZE, compute_bundle, row_thresholds,
+                         threshold_P)
 
 REL_TIE = 1e-9
 
@@ -51,6 +53,19 @@ class SolutionSet:
 
 # ---------------------------------------------------------------------------
 # shared helpers
+
+def _require_usable_scale(scale: float) -> None:
+    """Reject length scales L whose square is not a finite normal float.
+
+    Objective values are measured in units of L^2; outside that range they
+    overflow to inf or underflow to 0 and no tie can be told apart.
+    """
+    square = scale * scale
+    if not sys.float_info.min <= square < math.inf:
+        raise PreconditionViolation(
+            f"length scale {scale!r} is too large or too small: "
+            f"its square {square!r} is not a finite normal float")
+
 
 def _pair_point(config: SensorConfig, role: Role) -> Optional[Point2]:
     i, j, k, plus = _PAIR_BY_ROLE[role]
@@ -98,6 +113,7 @@ def _argmin_set(config: SensorConfig,
 # A block covers an interval of d1; its rows cover intervals of d3 and name
 # the minimizing symbols.  Interval ends are (value, closed?) pairs; rows at
 # a shared endpoint are both consulted and the objective breaks the tie.
+# Blocks depend on d1 alone, so each d1 row of a sweep builds them once.
 
 Row = Tuple[float, bool, float, bool, Tuple[str, ...], str]
 Block = Tuple[float, bool, float, bool, Tuple[Row, ...], str]
@@ -117,15 +133,12 @@ def _inside(v: float, lo: float, lo_c: bool, hi: float, hi_c: bool,
     return ok_lo and ok_hi
 
 
-def _chord_half(r: float, d1: float) -> float:
-    return math.sqrt(max(d1 * d1 - r * r / 4.0, 0.0))
-
-
-def _equilateral_blocks(r: float, d1: float) -> List[Block]:
+@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
+def _equilateral_blocks(r: float, d1: float) -> Tuple[Block, ...]:
     s = SQRT3_2 * r
     low = 2.0 * s / 3.0          # equals r/sqrt(3)
     top = 2.0 * s
-    h = _chord_half(r, d1)
+    h = math.sqrt(max(d1 * d1 - r * r / 4.0, 0.0))
     pair = ("S23plus", "S31plus")
     blocks: List[Block] = []
     blocks.append((0.0, True, r / 2.0, True, (
@@ -155,15 +168,18 @@ def _equilateral_blocks(r: float, d1: float) -> List[Block]:
         _row(m, True, m, True, pair + ("S12minus",), "E4.4"),
         _row(m, False, _INF, False, ("S12minus",), "E4.5"),
     ), "E4"))
-    return blocks
+    return tuple(blocks)
 
 
-def _isosceles_blocks(r: float, s: float, d1: float, regime: str) -> List[Block]:
+@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
+def _isosceles_blocks(r: float, s: float, d1: float,
+                      regime: str) -> Tuple[Block, ...]:
     low = 2.0 * s / 3.0
     top = 2.0 * s
     a = math.sqrt(r * r / 4.0 + s * s / 9.0)
     b = math.sqrt(r * r / 4.0 + s * s)
-    h = _chord_half(r, d1)
+    row = row_thresholds(r, s, d1)
+    h = row.h
     pair = ("S23plus", "S31plus")
     blocks: List[Block] = []
     blocks.append((0.0, True, r / 2.0, True, (
@@ -178,7 +194,7 @@ def _isosceles_blocks(r: float, s: float, d1: float, regime: str) -> List[Block]
         _row(s + h, True, top, True, ("N3",), "2.4"),
         _row(top, True, _INF, False, ("Y3",), "2.5"),
     ), "2"))
-    big_r = threshold_R(r, s, d1) if d1 > r / 2.0 else 0.0
+    big_r = row.R if d1 > r / 2.0 else 0.0
     blocks.append((a, False, b, True, (
         _row(0.0, False, big_r, False, ("S12plus",), "3.1"),
         _row(big_r, True, big_r, True, ("S12plus",) + pair, "3.2"),
@@ -187,17 +203,12 @@ def _isosceles_blocks(r: float, s: float, d1: float, regime: str) -> List[Block]
         _row(top, True, _INF, False, ("Y3",), "3.5"),
     ), "3"))
 
-    if regime == "flat":
-        p_cut = threshold_P_flat(r, s)
-        if p_cut is None:
-            p_cut = _INF
-    else:
-        p_cut = threshold_P(r, s)
-        if p_cut is None:
-            p_cut = _INF
+    p_cut = row.P_flat if regime == "flat" else row.P
+    if p_cut is None:
+        p_cut = _INF
 
     if d1 > b:
-        big_m = threshold_M(r, s, d1)
+        big_m = row.M
         blocks.append((b, False, p_cut, False, (
             _row(0.0, False, big_r, False, ("S12plus",), "4.1"),
             _row(big_r, True, big_r, True, ("S12plus",) + pair, "4.2"),
@@ -221,8 +232,7 @@ def _isosceles_blocks(r: float, s: float, d1: float, regime: str) -> List[Block]
                 ), "6"))
             else:
                 quad = ("S23plus", "S23minus", "S31plus", "S31minus")
-                d3m_sq = d1 * d1 - r * r / 4.0 - s * s
-                d3m = math.sqrt(max(d3m_sq, 0.0))
+                d3m = row.d3m or 0.0
                 blocks.append((p_cut, True, p_cut, True, (
                     _row(0.0, False, d3m, False, ("S12plus",), "5.1"),
                     _row(d3m, True, d3m, True, ("S12plus",) + quad, "5.2"),
@@ -231,10 +241,7 @@ def _isosceles_blocks(r: float, s: float, d1: float, regime: str) -> List[Block]
                     _row(big_m, False, _INF, False, ("S12minus",), "5.5"),
                 ), "5"))
                 if d1 > p_cut:
-                    try:
-                        dstar = d3_star_root(r, s, d1).value
-                    except (NoBracket, PreconditionViolation):
-                        dstar = d3m
+                    dstar = row.star.value if row.star is not None else d3m
                     blocks.append((p_cut, False, _INF, False, (
                         _row(0.0, False, dstar, False, ("S12plus",), "6.1"),
                         _row(dstar, True, dstar, True,
@@ -246,11 +253,11 @@ def _isosceles_blocks(r: float, s: float, d1: float, regime: str) -> List[Block]
                         _row(big_m, True, big_m, True, pair + ("S12minus",), "6.6"),
                         _row(big_m, False, _INF, False, ("S12minus",), "6.7"),
                     ), "6"))
-    return blocks
+    return tuple(blocks)
 
 
 def _solve_from_blocks(r: float, s: float, d1: float, d3: float,
-                       blocks: List[Block], family: str,
+                       blocks: Sequence[Block], family: str,
                        tol: float) -> SolutionSet:
     eps = tol * (1.0 + r + s + d1 + abs(d3))
     symbols: List[str] = []
@@ -306,6 +313,7 @@ def solve_equilateral(r: float, d1: float, d3: float,
     if r <= 0.0 or d1 < 0.0 or d3 < 0.0:
         raise PreconditionViolation("need r > 0 and nonnegative ranges")
     s = SQRT3_2 * r
+    _require_usable_scale(max(r, math.hypot(r / 2.0, s)) + max(d1, d3))
     return _solve_from_blocks(r, s, d1, d3, _equilateral_blocks(r, d1),
                               "equilateral", tol)
 
@@ -322,6 +330,7 @@ def solve_isosceles(r: float, s: float, d1: float, d3: float,
     t3 = SQRT3_2 * r
     if _force is None and abs(s - t3) <= tol * r:
         return solve_equilateral(r, d1, d3, tol)
+    _require_usable_scale(max(r, math.hypot(r / 2.0, s)) + max(d1, d3))
     regime = _force if _force is not None else ("flat" if s < t3 else "sharp")
     family = "isosceles-flat" if regime == "flat" else "isosceles-sharp"
     return _solve_from_blocks(r, s, d1, d3,
@@ -343,13 +352,14 @@ def multiplicity_conditions(r: float, s: float, d1: float, d3: float,
     flat = (not equilateral) and s < t3
     a = math.sqrt(r * r / 4.0 + s * s / 9.0)
     b = math.sqrt(r * r / 4.0 + s * s)
-    h = _chord_half(r, d1) if d1 > r / 2.0 else None
+    row = row_thresholds(r, s, d1)
+    h = row.h if d1 > r / 2.0 else None
     d3p = math.sqrt(h * h + s * s) if h is not None else None
-    d3m = math.sqrt(h * h - s * s) if h is not None and h >= s else None
-    p = threshold_P(r, s) if sharp else None
-    pf = threshold_P_flat(r, s) if flat else None
-    big_r = threshold_R(r, s, d1) if d1 > a - eps else None
-    big_m = threshold_M(r, s, d1) if d1 > b - eps else None
+    d3m = row.d3m if h is not None else None
+    p = row.P if sharp else None
+    pf = row.P_flat if flat else None
+    big_r = row.R if d1 > a - eps else None
+    big_m = row.M if d1 > b - eps else None
 
     def near(x: Optional[float], y: Optional[float]) -> bool:
         return x is not None and y is not None and abs(x - y) <= eps
@@ -364,11 +374,8 @@ def multiplicity_conditions(r: float, s: float, d1: float, d3: float,
     if big_m is not None and d1 > b + eps and near(d3, big_m):
         return 3, "d3 at M: base '-' joins the leg '+' pair"
     dstar: Optional[float] = None
-    if sharp and p is not None and d1 > p + eps:
-        try:
-            dstar = d3_star_root(r, s, d1).value
-        except (NoBracket, PreconditionViolation):
-            dstar = None
+    if sharp and p is not None and d1 > p + eps and row.star is not None:
+        dstar = row.star.value
     if dstar is not None and near(d3, dstar):
         return 3, "d3 at the auxiliary root: base '+' joins the leg '-' pair"
     three_plus_hi = p if sharp else (pf if flat else _INF)
@@ -612,6 +619,7 @@ def _remap_role(role: Role, perm: Tuple[int, int, int]) -> Role:
 
 def solve(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
     """Route to the symmetric tables when a relabeling fits, else scan."""
+    _require_usable_scale(config_scale(config))
     canonical_frame(*config.Z, tol=tol)
     scale = 1.0 + config_scale(config)
     for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):

@@ -12,9 +12,7 @@ import functools
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import classifier, oracle, thresholds
@@ -238,17 +236,6 @@ def _csv_buffer() -> Tuple[io.StringIO, Any]:
     return buf, csv.writer(buf, lineterminator="\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TRILAT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -343,12 +330,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_cell(r: float, s: float, d1: float, d3: float,
-                tol: float) -> Tuple[int, str]:
-    solution = classifier.solve_isosceles(r, s, d1, d3, tol=tol)
-    return solution.multiplicity, solution.derivation
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     lo1, hi1 = args.d1
     lo3, hi3 = args.d3
@@ -357,25 +338,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise _SchemaError("sweep needs at least 2 steps and increasing ranges")
     d1s = [lo1 + (hi1 - lo1) * i / (n - 1) for i in range(n)]
     d3s = [lo3 + (hi3 - lo3) * i / (n - 1) for i in range(n)]
-
-    def run_row(d1: float) -> List[Tuple[float, float, int, str]]:
-        out = []
-        for d3 in d3s:
-            mult, derivation = _sweep_cell(args.r, args.s, d1, d3, args.tol)
-            out.append((d1, d3, mult, derivation))
-        return out
-
-    threads = min(_thread_count(), n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_row = list(pool.map(run_row, d1s))
-    else:
-        per_row = [run_row(d1) for d1 in d1s]
     buf, writer = _csv_buffer()
     writer.writerow(["d1", "d3", "multiplicity", "derivation"])
-    for row in per_row:
-        for d1, d3, mult, derivation in row:
-            writer.writerow([f"{d1:.10g}", f"{d3:.10g}", mult, derivation])
+    # Row by row: the d1-only thresholds and case tables are built once per
+    # row and reused for each of its d3 cells.
+    for d1 in d1s:
+        for d3 in d3s:
+            solution = classifier.solve_isosceles(args.r, args.s, d1, d3,
+                                                  tol=args.tol)
+            writer.writerow([f"{d1:.10g}", f"{d3:.10g}",
+                             solution.multiplicity, solution.derivation])
     _emit(buf.getvalue())
     return 0
 

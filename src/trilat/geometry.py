@@ -106,8 +106,9 @@ def circle_circle_intersect(a: Circle, b: Circle, third_sensor: Point2,
                             tol: Optional[float] = None) -> IntersectionPair:
     """Intersect two circles and order the points relative to a third point.
 
-    The "plus" point is the one nearer ``third_sensor``; when the two points
-    are equidistant the lexicographically smaller (y, then x) one is "plus".
+    The "plus" point is the one nearer ``third_sensor``.  When the two
+    distances to it differ by at most ``tol``, the lexicographically smaller
+    (y, then x) point is "plus", so "plus" may be farther by up to ``tol``.
     Within ``tol`` of tangency the pair snaps to a single point.  ``tol``
     defaults to 1e-9 * (r_a + r_b + center distance).
     """
@@ -188,10 +189,6 @@ class RigidMotion:
         return Point2(self.ox + self.ux * q.x + self.vx * q.y,
                       self.oy + self.uy * q.x + self.vy * q.y)
 
-    @property
-    def is_reflection(self) -> bool:
-        return self.ux * self.vy - self.uy * self.vx < 0.0
-
 
 @dataclass(frozen=True)
 class CanonicalFrame:
@@ -237,37 +234,3 @@ def canonical_frame(z1: Point2, z2: Point2, z3: Point2,
     tf = RigidMotion(ux, uy, vx, vy, ox, oy)
     return CanonicalFrame(transform=tf, r=r, s=s, shape=shape, apex=Point2(ax, ay))
 
-
-def point_in_triangle(p: Point2, a: Point2, b: Point2, c: Point2,
-                      tol: float = 0.0) -> bool:
-    """Closed-triangle membership with an area-unit slack ``tol``."""
-    def cross(o: Point2, u: Point2, v: Point2) -> float:
-        return (u.x - o.x) * (v.y - o.y) - (u.y - o.y) * (v.x - o.x)
-    d1 = cross(a, b, p)
-    d2 = cross(b, c, p)
-    d3 = cross(c, a, p)
-    return min(d1, d2, d3) >= -tol or max(d1, d2, d3) <= tol
-
-
-def segment_circle_points(a: Point2, b: Point2, circle: Circle,
-                          tol: float = 1e-12) -> List[Point2]:
-    """Intersections of the closed segment a-b with a circle."""
-    ex, ey = b.x - a.x, b.y - a.y
-    cx, cy = a.x - circle.center.x, a.y - circle.center.y
-    qa = ex * ex + ey * ey
-    if qa == 0.0:
-        return []
-    qb = 2.0 * (cx * ex + cy * ey)
-    qc = cx * cx + cy * cy - circle.radius * circle.radius
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        return []
-    root = math.sqrt(disc)
-    out: List[Point2] = []
-    for t in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)):
-        if -tol <= t <= 1.0 + tol:
-            tc = min(max(t, 0.0), 1.0)
-            out.append(Point2(a.x + tc * ex, a.y + tc * ey))
-    if len(out) == 2 and distance(out[0], out[1]) <= tol * (1.0 + qa):
-        out.pop()
-    return out

@@ -3,17 +3,37 @@
 All formulas assume the symmetric instance: base sensors r apart with equal
 ranges d1 = d2, apex sensor at height s with range d3.  Each threshold marks
 a switch in which candidate points attain the global minimum.
+
+The auxiliary root d3* has a closed form too.  With u = sqrt(d1^2 - r^2/4) - s
+and d3^2 = u^2 + 2*t*s*u, the auxiliary g(t) is a positive multiple of
+lin(t) + r*sqrt(rad(t)), where
+
+    lin(t) = -u*(c*t + r^2/2),  c = s^2 - r^2/4,
+    rad(t) = -s^2*u^2*t^2 + 2*s*u*(s^2 + r^2/4 + s*u)*t + r^2*u^2/4.
+
+A root with lin(t) <= 0 satisfies r^2*rad(t) = lin(t)^2.  Both sides equal
+r^4*u^2/4 at t = 0, so their difference is t*(A*t + B) = 0 with
+A = -u^2*(r^2*s^2 + c^2) and B = r^2*u*(2*s*(s^2 + r^2/4 + s*u) - u*c):
+
+    t* = r^2*(2*s*(s^2 + r^2/4 + s*u) - u*c) / (u*(r^2*s^2 + c^2)).
+
+It is evaluated in units of r, where it is dimensionless; t* = 1 at d1 = P.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import NoBracket, PreconditionViolation
 from .geometry import SQRT3_2, SensorConfig, distance
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Entries kept by each per-d1 cache.  A sweep visits the cells of one d1 row
+# in a row, so it misses once per row; the slack serves callers that revisit
+# a few rows out of order.  Each entry holds a whole case table: 256 entries
+# raised a sweeping process's peak RSS by about 1.7 MB against 32.
+ROW_CACHE_SIZE = 32
 
 
 def _check_symmetric(config: SensorConfig, tol: float = 1e-9) -> Tuple[float, float, float, float]:
@@ -128,11 +148,12 @@ class D3StarResult:
     t_star: float
 
 
-def d3_star_root(r: float, s: float, d1: float, tol: float = 1e-12) -> D3StarResult:
-    """Unique root of the auxiliary sign change, by bisection in t.
+def d3_star_root(r: float, s: float, d1: float) -> D3StarResult:
+    """Root t* of the auxiliary on (0, 1] and the apex range d3* it gives.
 
-    Exists only in the tall-apex regime with d1 beyond P; at d1 = P the
-    bracket degenerates (g(1) = 0) and NoBracket is raised.
+    Exists only in the tall-apex regime with d1 beyond P; at d1 = P the root
+    reaches t = 1 where g(1) = 0, and NoBracket is raised.  The closed form is
+    derived in the module docstring.
     """
     p = threshold_P(r, s)
     if p is None:
@@ -143,42 +164,64 @@ def d3_star_root(r: float, s: float, d1: float, tol: float = 1e-12) -> D3StarRes
     u = h - s
     if u <= 0.0:
         raise PreconditionViolation("base circles too small for the tall regime")
-
-    def g(t: float) -> float:
-        return g_aux(r, s, u, t)
-
-    if g(1.0) >= 0.0:
+    if g_aux(r, s, u, 1.0) >= 0.0:
         raise NoBracket("auxiliary does not change sign on (0, 1]")
-    # Concave with g(0) = 0: golden-section the maximum to seed the bracket.
-    a, b = 0.0, 1.0
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = g(c), g(d)
-    for _ in range(80):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = g(d)
-    t_pos = (a + b) / 2.0
-    if g(t_pos) <= 0.0:
-        raise NoBracket("auxiliary never positive; d1 is at P within noise")
-    lo, hi = t_pos, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t_star = (lo + hi) / 2.0
-    return D3StarResult(math.sqrt(u * u + 2.0 * t_star * s * u), t_star)
+    rho, ups = s / r, u / r
+    c = rho * rho - 0.25
+    t_star = ((2.0 * rho * (rho * rho + 0.25 + rho * ups) - ups * c)
+              / (ups * (rho * rho + c * c)))
+    lin = -ups * (c * t_star + 0.5)
+    if not (0.0 < t_star <= 1.0 and lin <= 0.0):
+        raise NoBracket("auxiliary root outside (0, 1]; d1 is at P within noise")
+    return D3StarResult(r * math.sqrt(ups * (ups + 2.0 * t_star * rho)), t_star)
 
 
-def d3_star(r: float, s: float, d1: float, tol: float = 1e-12) -> float:
-    return d3_star_root(r, s, d1, tol).value
+def d3_star(r: float, s: float, d1: float) -> float:
+    return d3_star_root(r, s, d1).value
+
+
+@dataclass(frozen=True)
+class RowThresholds:
+    """The thresholds that depend on d1 but not on d3.
+
+    A field is None where its formula does not apply; each caller applies
+    its own gate on d1.  ``h`` is the half chord of the base circles.
+    """
+
+    h: float
+    P: Optional[float]
+    P_flat: Optional[float]
+    R: Optional[float]
+    M: Optional[float]
+    d3m: Optional[float]
+    star: Optional[D3StarResult]
+
+
+@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
+def row_thresholds(r: float, s: float, d1: float) -> RowThresholds:
+    """P, R, M, the four-equal radius d3m and d3* for one (r, s, d1)."""
+    p = threshold_P(r, s)
+    star: Optional[D3StarResult] = None
+    if p is not None and d1 > p:
+        try:
+            star = d3_star_root(r, s, d1)
+        except (NoBracket, PreconditionViolation):
+            pass
+    try:
+        big_m: Optional[float] = threshold_M(r, s, d1)
+    except PreconditionViolation:
+        big_m = None
+    chord_sq = d1 * d1 - r * r / 4.0
+    d3m_sq = chord_sq - s * s
+    return RowThresholds(
+        h=math.sqrt(max(chord_sq, 0.0)),
+        P=p,
+        P_flat=threshold_P_flat(r, s),
+        R=threshold_R(r, s, d1) if d1 * d1 >= r * r / 4.0 else None,
+        M=big_m,
+        d3m=math.sqrt(d3m_sq) if d3m_sq >= 0.0 else None,
+        star=star,
+    )
 
 
 @dataclass(frozen=True)
@@ -220,23 +263,16 @@ def compute_bundle(r: float, s: float, d1: float,
         d1_0 = math.sqrt(radicand) if radicand >= 0.0 else None
     a = math.sqrt(r * r / 4.0 + s * s / 9.0)
     b = math.sqrt(leg_sq)
-    big_r = threshold_R(r, s, d1) if d1 >= a else None
-    big_m = threshold_M(r, s, d1) if d1 >= b else None
-    p = threshold_P(r, s)
-    q = threshold_Q(r, s)
-    star: Optional[D3StarResult] = None
-    if p is not None and d1 > p + 1e-12 * (1.0 + p):
-        try:
-            star = d3_star_root(r, s, d1)
-        except (NoBracket, PreconditionViolation):
-            star = None
+    row = row_thresholds(r, s, d1)
+    p = row.P
+    star = row.star if p is not None and d1 > p + 1e-12 * (1.0 + p) else None
     return ThresholdBundle(
         d3_0=d3_0,
         d1_0=d1_0,
-        R=big_r,
-        M=big_m,
+        R=row.R if d1 >= a else None,
+        M=row.M if d1 >= b else None,
         P=p,
-        Q=q,
+        Q=threshold_Q(r, s),
         d3_star=star.value if star is not None else None,
         t_star=star.t_star if star is not None else None,
     )

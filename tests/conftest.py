@@ -12,6 +12,19 @@ settings.load_profile("suite")
 
 S3 = math.sqrt(3.0)
 
+# The three criterion-9 multiplicity maps: (r, s, d1 window, d3 window).
+MAP_WINDOWS = {
+    "eq": (2.0, S3, (1.0, 9.0), (0.2, 9.0)),
+    "s3": (2.0, 3.0, (1.0, 11.0), (0.2, 11.0)),
+    "s1": (2.0, 1.0, (0.6, 9.0), (0.05, 9.0)),
+}
+
+
+def sweep_axes(lo1, hi1, lo3, hi3, n):
+    """The d1 and d3 values ``trilat sweep`` visits, in its own arithmetic."""
+    return ([lo1 + (hi1 - lo1) * i / (n - 1) for i in range(n)],
+            [lo3 + (hi3 - lo3) * i / (n - 1) for i in range(n)])
+
 
 def canonical(r: float, s: float, d1: float, d3: float) -> SensorConfig:
     """Isosceles instance in the canonical frame with d2 = d1."""

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import S3, canonical, rel
+from conftest import MAP_WINDOWS, S3, canonical, rel, sweep_axes
+from trilat import classifier, thresholds
 from trilat.classifier import (four_equal_branch, four_equal_objectives,
                                multiplicity_conditions, solve,
                                solve_equilateral, solve_general,
@@ -262,3 +263,31 @@ def test_multiplicity_cap_general(seed):
     d = tuple(rng.uniform(0.3, 8.0) for _ in range(3))
     sol = solve_general(SensorConfig(tuple(zs), d))
     assert 1 <= sol.multiplicity <= 5
+
+
+# --- per-d1 caches ----------------------------------------------------------
+
+def _clear_row_caches():
+    thresholds.row_thresholds.cache_clear()
+    classifier._isosceles_blocks.cache_clear()
+    classifier._equilateral_blocks.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(MAP_WINDOWS))
+def test_cell_order_does_not_change_answers(name):
+    """Visiting a map's cells shuffled gives the answers of row order."""
+    r, s, (lo1, hi1), (lo3, hi3) = MAP_WINDOWS[name]
+    d1s, d3s = sweep_axes(lo1, hi1, lo3, hi3, 40)
+    cells = [(d1, d3) for d1 in d1s for d3 in d3s]
+    _clear_row_caches()
+    in_rows = {cell: solve_isosceles(r, s, *cell) for cell in cells}
+    random.Random(name).shuffle(cells)
+    _clear_row_caches()
+    for cell in cells:
+        got = solve_isosceles(r, s, *cell)
+        want = in_rows[cell]
+        assert got.points == want.points, cell
+        assert got.objective_value == want.objective_value, cell
+        assert got.multiplicity == want.multiplicity, cell
+        assert got.derivation == want.derivation, cell
+        assert got.near_threshold == want.near_threshold, cell

@@ -13,7 +13,8 @@ import pytest
 from scipy import ndimage
 
 import trilat
-from conftest import S3
+from conftest import MAP_WINDOWS, S3, sweep_axes
+from trilat.classifier import solve_isosceles
 from trilat.cli import main, parse_instance, reconstruct_four_equal
 
 FIVE_WAY_EXACT = {
@@ -139,6 +140,40 @@ def test_unreadable_and_malformed_files(tmp_path, capsys):
     assert rc == 3 and "JSON" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_extreme_scales_exit_2(tmp_path, capsys, scale):
+    """The square of the length scale must be a finite normal float."""
+    obj = {"r": scale, "s": scale, "d": [scale, scale, scale]}
+    rc, out, err = run(capsys, ["solve", write_instance(tmp_path, obj)])
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "PreconditionViolation"
+
+
+def test_sweep_at_extreme_scale_exits_2(capsys):
+    rc, out, err = run(capsys, ["sweep", "--r", "1e-300", "--s", "1e-300",
+                                "--d1", "1e-300", "2e-300",
+                                "--d3", "1e-300", "2e-300", "--steps", "3"])
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "PreconditionViolation"
+
+
+def test_scale_scan_never_crashes(tmp_path, capsys):
+    """Scaled symmetric and general instances exit 0, 2 or 3, never raise."""
+    for e in range(-320, 301, 10):
+        x = 10.0 ** e
+        for obj in ({"r": x, "s": x, "d": [x, x, x]},
+                    {"sensors": [[0.0, 0.0], [3.0 * x, 0.0], [x, 2.0 * x]],
+                     "d": [2.0 * x, 2.5 * x, 1.5 * x]}):
+            rc, out, err = run(capsys, ["solve", write_instance(tmp_path, obj)])
+            assert rc in (0, 2, 3), (e, obj)
+            if rc == 0:
+                assert json.loads(out)["multiplicity"] >= 1, (e, obj)
+            else:
+                assert out == "" and "error" in json.loads(err), (e, obj)
+
+
 # --- instance parsing -------------------------------------------------------
 
 def test_parse_instance_ranges_object():
@@ -260,6 +295,23 @@ def test_sweep_rejects_bad_window(capsys):
                               "--d1", "1.0", "2.0", "--d3", "1.0", "2.0",
                               "--steps", "1"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("name", sorted(MAP_WINDOWS))
+def test_sweep_matches_cell_by_cell_solves(capsys, name):
+    r, s, (lo1, hi1), (lo3, hi3) = MAP_WINDOWS[name]
+    rc, out, _ = run(capsys, ["sweep", "--r", repr(r), "--s", repr(s),
+                              "--d1", repr(lo1), repr(hi1),
+                              "--d3", repr(lo3), repr(hi3), "--steps", "40"])
+    assert rc == 0
+    d1s, d3s = sweep_axes(lo1, hi1, lo3, hi3, 40)
+    rebuilt = ["d1,d3,multiplicity,derivation"]
+    for d1 in d1s:
+        for d3 in d3s:
+            sol = solve_isosceles(r, s, d1, d3)
+            rebuilt.append(f"{d1:.10g},{d3:.10g},{sol.multiplicity},"
+                           f"{sol.derivation}")
+    assert out.splitlines() == rebuilt
 
 
 # --- contour ----------------------------------------------------------------

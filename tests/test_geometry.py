@@ -6,7 +6,7 @@ hold for any valid input; the fixed cases pin down exact values.
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import S3, canonical
@@ -70,9 +70,12 @@ class TestCircleIntersect:
             assert abs(distance(p, b.center) - b.radius) <= 1e-7 * scale
 
     @given(a=circles, b=circles, third=points)
+    @example(a=Circle(Point2(0.0, 0.0), 1.0),
+             b=Circle(Point2(10.0, -1.19e-7), 10.0), third=Point2(1.0, 0.0))
     @settings(max_examples=200)
     def test_plus_point_is_nearer_third(self, a, b, third):
-        """The '+' point never sits farther from the third sensor than '-'."""
+        """The '+' point is never farther from the third sensor than '-'
+        by more than the tie tolerance, within which the order is by y."""
         gap = distance(a.center, b.center)
         assume(gap > 1e-6)
         pair = circle_circle_intersect(a, b, third)
@@ -80,7 +83,8 @@ class TestCircleIntersect:
         sep = distance(pair.plus_point, pair.minus_point)
         assume(sep > 1e-9)  # orientation is a coin flip at a tangency
         assert (distance(pair.plus_point, third)
-                <= distance(pair.minus_point, third) + 1e-9 * (1.0 + gap))
+                <= distance(pair.minus_point, third)
+                + 1e-9 * (a.radius + b.radius + gap))
 
 
 class TestCentroidCompanions:

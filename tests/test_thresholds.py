@@ -1,4 +1,4 @@
-"""Closed-form thresholds, the bisected tie radius, and the bundle."""
+"""Closed-form thresholds, the auxiliary tie radius d3*, and the bundle."""
 import math
 import random
 
@@ -171,7 +171,7 @@ def test_Q_value():
     assert q is not None and abs(q - 8 * 4 * 3 / (4 * 9 - 12)) < 1e-12
 
 
-# --- bisected tie radius d3* ------------------------------------------------
+# --- auxiliary tie radius d3* -----------------------------------------------
 
 def test_d3_star_fixture():
     res = th.d3_star_root(2.0, 3.0, 10.3158)
@@ -211,6 +211,98 @@ def test_d3_star_monotone_in_d1():
         if prev is not None:
             assert v > prev
         prev = v
+
+
+# The golden-section plus bisection search that found the root before the
+# closed form; kept here as an independent reference.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _bisected_root(r, s, d1, tol=1e-12):
+    u = math.sqrt(max(d1 * d1 - r * r / 4.0, 0.0)) - s
+
+    def g(t):
+        return th.g_aux(r, s, u, t)
+
+    if g(1.0) >= 0.0:
+        raise NoBracket("auxiliary does not change sign on (0, 1]")
+    a, b = 0.0, 1.0
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = g(c), g(d)
+    for _ in range(80):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = g(d)
+    t_pos = (a + b) / 2.0
+    if g(t_pos) <= 0.0:
+        raise NoBracket("auxiliary never positive")
+    lo, hi = t_pos, 1.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t_star = (lo + hi) / 2.0
+    return math.sqrt(u * u + 2.0 * t_star * s * u), t_star
+
+
+def _tall_apex_draws(seed, n):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        r = rng.uniform(0.5, 4.0)
+        s = rng.uniform(S3 / 2.0 * r * 1.001, 4.0 * r)
+        p = th.threshold_P(r, s)
+        d1 = p * rng.uniform(1.0, 5.0)
+        if d1 > p:
+            out.append((r, s, d1))
+    return out
+
+
+def test_d3_star_closed_form_matches_bisection():
+    """Within the bisection's own tolerance: 1e-12 relative in d3*, 1e-12 in t*."""
+    checked = 0
+    for r, s, d1 in _tall_apex_draws(20241018, 10_000):
+        try:
+            value, t_star = _bisected_root(r, s, d1)
+        except NoBracket:
+            continue
+        res = th.d3_star_root(r, s, d1)
+        assert abs(res.value - value) <= 1e-12 * value, (r, s, d1)
+        assert abs(res.t_star - t_star) <= 1e-12, (r, s, d1)
+        checked += 1
+    assert checked >= 9_900
+
+
+@pytest.mark.parametrize("k", [1e-100, 1e100])
+def test_d3_star_scales_with_the_instance(k):
+    for r, s, d1 in _tall_apex_draws(7, 500):
+        base = th.d3_star_root(r, s, d1)
+        scaled = th.d3_star_root(k * r, k * s, k * d1)
+        assert rel(scaled.value / k, base.value) <= 1e-12, (r, s, d1)
+        assert rel(scaled.t_star, base.t_star) <= 1e-12, (r, s, d1)
+
+
+def test_row_thresholds_match_the_direct_formulas():
+    th.row_thresholds.cache_clear()
+    for r, s, d1 in _tall_apex_draws(11, 200):
+        row = th.row_thresholds(r, s, d1)
+        assert row.P == th.threshold_P(r, s)
+        assert row.R == th.threshold_R(r, s, d1)
+        assert row.M == th.threshold_M(r, s, d1)
+        assert row.star == th.d3_star_root(r, s, d1)
+        assert row.d3m == math.sqrt(d1 * d1 - r * r / 4 - s * s)
+    # below the base-apex distance M and d3m do not apply; below r/2 nor does R
+    row = th.row_thresholds(2.0, 3.0, 0.8)
+    assert row.R is None and row.M is None and row.d3m is None
+    assert row.star is None and row.P == th.threshold_P(2.0, 3.0)
 
 
 def test_g_aux_concavity():
