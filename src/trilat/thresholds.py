@@ -29,11 +29,9 @@ from typing import Dict, Optional, Tuple
 from .errors import NoBracket, PreconditionViolation
 from .geometry import SQRT3_2, SensorConfig, distance
 
-# Entries kept by each per-d1 cache.  A sweep visits the cells of one d1 row
-# in a row, so it misses once per row; the slack serves callers that revisit
-# a few rows out of order.  Each entry holds a whole case table: 256 entries
-# raised a sweeping process's peak RSS by about 1.7 MB against 32.
-ROW_CACHE_SIZE = 32
+# Entries kept by each per-d1 cache.  A solve reads one key, and a sweep
+# visits the cells of one d1 row in a row, so it misses once per row.
+ROW_CACHE_SIZE = 1
 
 
 def _check_symmetric(config: SensorConfig, tol: float = 1e-9) -> Tuple[float, float, float, float]:
@@ -164,9 +162,11 @@ def d3_star_root(r: float, s: float, d1: float) -> D3StarResult:
     u = h - s
     if u <= 0.0:
         raise PreconditionViolation("base circles too small for the tall regime")
-    if g_aux(r, s, u, 1.0) >= 0.0:
-        raise NoBracket("auxiliary does not change sign on (0, 1]")
+    # g has degree 2 in length, so its sign is taken in units of r, where its
+    # degree-4 terms neither overflow nor turn subnormal.
     rho, ups = s / r, u / r
+    if g_aux(1.0, rho, ups, 1.0) >= 0.0:
+        raise NoBracket("auxiliary does not change sign on (0, 1]")
     c = rho * rho - 0.25
     t_star = ((2.0 * rho * (rho * rho + 0.25 + rho * ups) - ups * c)
               / (ups * (rho * rho + c * c)))

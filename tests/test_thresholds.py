@@ -200,6 +200,10 @@ def test_d3_star_three_way_tie():
 def test_d3_star_no_bracket_at_P():
     with pytest.raises(NoBracket):
         th.d3_star(2.0, 3.0, math.sqrt(50))
+    # in raw units the terms of g leave the normal float range at these scales
+    for k in (1e-100, 1e100, 1e150):
+        with pytest.raises(NoBracket):
+            th.d3_star(2.0 * k, 3.0 * k, th.threshold_P(2.0 * k, 3.0 * k))
 
 
 def test_d3_star_monotone_in_d1():
