@@ -1,41 +1,8 @@
-"""Exact global minimizers for the three-sensor planar ranging objective."""
+"""Exact global minimizers for the three-sensor planar ranging objective.
 
-from .classifier import (CandidatePoint, SolutionSet, four_equal_branch,
-                         four_equal_objectives, multiplicity_conditions,
-                         solve, solve_equilateral, solve_general,
-                         solve_isosceles)
-from .errors import (BoundsTooSmall, ConcentricIdentical,
-                     DegenerateArrangement, DegenerateDirection,
-                     DegenerateTriangle, MissingIntersection, NoBracket,
-                     NoiseRejection, PreconditionViolation, TrilatError)
-from .geometry import (CanonicalFrame, Circle, IntersectionPair, Point2,
-                       SensorConfig, canonical_frame, centroid_points,
-                       circle_circle_intersect, n3_point, side_midpoints)
-from .oracle import (GridSpec, NoiseSpec, OracleResult, brute_force_minimize,
-                     default_grid, generate_instance, objective_table)
-from .regions import (ObjectiveValue, RegionLabel, RegionTopology,
-                      classify_point, objective, objective_value,
-                      quadratic_form_check, region_topology)
-from .thresholds import (ThresholdBundle, compute_bundle, d1_zero, d3_star,
-                         d3_star_root, d3_zero, threshold_M, threshold_P,
-                         threshold_Q, threshold_R)
+Import from the submodules: ``trilat.classifier`` solves, ``trilat.oracle``
+checks on a grid (and alone needs numpy), ``trilat.cli`` is the console
+script.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundsTooSmall", "CandidatePoint", "CanonicalFrame", "Circle",
-    "ConcentricIdentical", "DegenerateArrangement", "DegenerateDirection",
-    "DegenerateTriangle", "GridSpec", "IntersectionPair",
-    "MissingIntersection", "NoBracket", "NoiseRejection", "NoiseSpec",
-    "ObjectiveValue", "OracleResult", "Point2", "PreconditionViolation",
-    "RegionLabel", "RegionTopology", "SensorConfig", "SolutionSet",
-    "ThresholdBundle", "TrilatError", "brute_force_minimize",
-    "canonical_frame", "centroid_points", "circle_circle_intersect",
-    "classify_point", "compute_bundle", "d1_zero", "d3_star", "d3_star_root",
-    "d3_zero", "default_grid", "four_equal_branch", "four_equal_objectives",
-    "generate_instance", "multiplicity_conditions", "n3_point", "objective",
-    "objective_table", "objective_value", "quadratic_form_check",
-    "region_topology", "side_midpoints", "solve", "solve_equilateral",
-    "solve_general", "solve_isosceles", "threshold_M", "threshold_P",
-    "threshold_Q", "threshold_R", "__version__",
-]

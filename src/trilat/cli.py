@@ -3,6 +3,9 @@
 Reports follow the "trilat/1" schema.  Output is buffered and written only
 on success, so a failing run never leaves partial CSV behind.  Exit codes:
 0 success, 2 degenerate or unusable geometry, 3 malformed input.
+
+Only ``oracle``, ``contour`` and ``solve --oracle-check`` run the grid
+oracle, so they alone import it, and numpy with it.
 """
 from __future__ import annotations
 
@@ -15,12 +18,14 @@ import math
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from . import classifier, oracle, thresholds
+from . import classifier, thresholds
 from .errors import (BoundsTooSmall, ConcentricIdentical,
                      DegenerateArrangement, DegenerateDirection,
                      DegenerateTriangle, MissingIntersection, NoBracket,
                      NoiseRejection, PreconditionViolation)
-from .geometry import Point2, SensorConfig, canonical_frame, distance
+from .geometry import (NoiseSpec, Point2, SensorConfig, canonical_frame,
+                       config_scale, distance, generate_instance)
+from .regions import objective_table
 
 SCHEMA = "trilat/1"
 
@@ -143,15 +148,15 @@ def _sensors_from(obj: Dict[str, Any]) -> Tuple[Point2, Point2, Point2]:
     return (Point2(-r / 2.0, 0.0), Point2(r / 2.0, 0.0), Point2(0.0, s))
 
 
-def _noise_from(raw: Any) -> oracle.NoiseSpec:
+def _noise_from(raw: Any) -> NoiseSpec:
     if raw is None or raw == "none":
-        return oracle.NoiseSpec()
+        return NoiseSpec()
     if not isinstance(raw, dict):
         raise _SchemaError("'noise' must be an object or \"none\"")
     kind = raw.get("kind", "none")
     scale = _as_number(raw.get("scale", 0.0), "noise scale")
     try:
-        return oracle.NoiseSpec(kind=kind, scale=scale)
+        return NoiseSpec(kind=kind, scale=scale)
     except ValueError as exc:
         raise _SchemaError(str(exc)) from exc
 
@@ -186,12 +191,8 @@ def parse_instance(obj: Dict[str, Any],
             seed = seed_override
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise _SchemaError("generator seed must be an integer")
-        try:
-            return oracle.generate_instance(source, sensors,
-                                            _noise_from(raw.get("noise")),
-                                            seed)
-        except NoiseRejection:
-            raise
+        return generate_instance(source, sensors,
+                                 _noise_from(raw.get("noise")), seed)
     if any(v < 0 for v in d):
         raise _SchemaError("ranges must be nonnegative")
     return SensorConfig(sensors, d)
@@ -257,6 +258,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     solution = classifier.solve(config, tol=args.tol)
     payload = _solution_payload(solution)
     if args.oracle_check:
+        from . import oracle
         spec = oracle.default_grid(config, resolution=256)
         result = oracle.brute_force_minimize(config, spec)
         errs = []
@@ -283,7 +285,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _table_line(config: SensorConfig) -> Tuple[List[float], List[str]]:
     # Fixture inputs are printed to four decimals, so exact ties split at
     # roughly 1e-4; flag at display level rather than machine level.
-    entries = oracle.objective_table(config, tie_tol=1e-3)
+    entries = objective_table(config, tie_tol=1e-3)
     by_label = {label: (value, flag) for label, value, flag in entries}
     values = [by_label[c][0] for c in _TABLE_COLUMNS]
     minima = [c for c in _TABLE_COLUMNS if by_label[c][1]]
@@ -353,6 +355,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_contour(args: argparse.Namespace) -> int:
+    from . import oracle
     config = _load_instance(args.instance, args.seed)
     xs, ys, vals = oracle.contour_grid(config, resolution=args.resolution)
     buf, writer = _csv_buffer()
@@ -366,6 +369,7 @@ def cmd_contour(args: argparse.Namespace) -> int:
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
     config = _load_instance(args.instance, args.seed)
+    classifier._require_usable_scale(config_scale(config))
     frame = canonical_frame(*config.Z)
     scale = 1.0 + frame.r + frame.s + max(config.d)
     if frame.shape == "General":
@@ -374,12 +378,20 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
         raise PreconditionViolation("thresholds need equal base ranges")
     d1 = (config.d[0] + config.d[1]) / 2.0
     bundle = thresholds.compute_bundle(frame.r, frame.s, d1, config.d[2])
-    payload = {
-        "schema": SCHEMA,
-        "r": frame.r, "s": frame.s, "d1": d1, "d3": config.d[2],
+    fields = {
         "d3_0": bundle.d3_0, "d1_0": bundle.d1_0,
         "R": bundle.R, "M": bundle.M, "P": bundle.P, "Q": bundle.Q,
         "d3_star": bundle.d3_star, "t_star": bundle.t_star,
+    }
+    overflowed = [name for name, value in fields.items()
+                  if value is not None and not math.isfinite(value)]
+    if overflowed:
+        raise PreconditionViolation(
+            f"thresholds {', '.join(overflowed)} are not finite at this scale")
+    payload = {
+        "schema": SCHEMA,
+        "r": frame.r, "s": frame.s, "d1": d1, "d3": config.d[2],
+        **fields,
         "validity": bundle.validity(),
     }
     _emit_json(payload)
@@ -387,6 +399,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle
     config = _load_instance(args.instance, args.seed)
     spec = oracle.default_grid(config, resolution=args.resolution,
                                refine_rounds=args.rounds,

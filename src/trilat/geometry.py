@@ -7,10 +7,12 @@ to resolve a vanishing chord exactly.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Tuple
+from typing import List, Literal, Optional, Sequence, Tuple
 
-from .errors import ConcentricIdentical, DegenerateDirection, DegenerateTriangle
+from .errors import (ConcentricIdentical, DegenerateDirection,
+                     DegenerateTriangle, NoiseRejection)
 
 Shape = Literal["Equilateral", "IsoscelesFlat", "IsoscelesSharp", "General"]
 
@@ -93,6 +95,46 @@ class SensorConfig:
 
     def circles(self) -> Tuple[Circle, Circle, Circle]:
         return tuple(Circle(z, dj) for z, dj in zip(self.Z, self.d))
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    kind: str = "none"  # none | uniform | normal
+    scale: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("none", "uniform", "normal"):
+            raise ValueError(f"unknown noise kind: {self.kind!r}")
+        if self.scale < 0.0:
+            raise ValueError("noise scale must be nonnegative")
+
+
+def generate_instance(source: Point2, sensors: Sequence[Point2],
+                      noise: NoiseSpec, seed: int) -> SensorConfig:
+    """Ranges measured from a source point, with optional perturbation.
+
+    Deterministic for a given seed.  A perturbed range must stay
+    nonnegative; after 100 rejected draws the instance is abandoned.
+    """
+    rng = random.Random(seed)
+    ranges: List[float] = []
+    for z in sensors:
+        base = distance(source, z)
+        if noise.kind == "none" or noise.scale == 0.0:
+            ranges.append(base)
+            continue
+        for _ in range(100):
+            if noise.kind == "uniform":
+                delta = rng.uniform(-noise.scale, noise.scale)
+            else:
+                delta = rng.gauss(0.0, noise.scale)
+            if base + delta >= 0.0:
+                ranges.append(base + delta)
+                break
+        else:
+            raise NoiseRejection(
+                f"could not draw a nonnegative range near {base:.6g}")
+    return SensorConfig(tuple(sensors), tuple(ranges))
 
 
 def config_scale(config: SensorConfig) -> float:

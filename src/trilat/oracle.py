@@ -7,14 +7,15 @@ routes stay independent checks on each other.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoundsTooSmall, MissingIntersection, NoiseRejection
-from .geometry import Point2, SensorConfig, circle_circle_intersect, distance
+from .errors import BoundsTooSmall
+from .geometry import Point2, SensorConfig, circle_circle_intersect
+# Instances for the oracle are still drawn as oracle.generate_instance.
+from .geometry import NoiseSpec, generate_instance  # noqa: F401
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SURVIVOR_CAP = 2048
@@ -116,7 +117,12 @@ def _prune(px: np.ndarray, py: np.ndarray, vals: np.ndarray, vmin: float,
     px, py, vals = px[keep], py[keep], vals[keep]
     dropped = max(px.size - _SURVIVOR_CAP, 0)
     if dropped:
-        order = np.lexsort((py, px, vals))[:_SURVIVOR_CAP]
+        # Only cells up to the cap-th smallest value, ties at it included,
+        # can make the cut, and they keep their relative index order, so
+        # sorting them alone keeps what a full (vals, px, py) sort keeps.
+        kth = np.partition(vals, _SURVIVOR_CAP - 1)[_SURVIVOR_CAP - 1]
+        sel = np.flatnonzero(vals <= kth)
+        order = sel[np.lexsort((py[sel], px[sel], vals[sel]))[:_SURVIVOR_CAP]]
         px, py, vals = px[order], py[order], vals[order]
     return px, py, vals, dropped
 
@@ -410,79 +416,6 @@ def brute_force_minimize(config: SensorConfig,
     minima.sort(key=lambda entry: (entry[0].x, entry[0].y))
     return OracleResult(tuple(minima), cluster_radius, global_value,
                         tuple(round_values), capped_out)
-
-
-# ---------------------------------------------------------------------------
-# instance generation
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    kind: str = "none"  # none | uniform | normal
-    scale: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("none", "uniform", "normal"):
-            raise ValueError(f"unknown noise kind: {self.kind!r}")
-        if self.scale < 0.0:
-            raise ValueError("noise scale must be nonnegative")
-
-
-def generate_instance(source: Point2, sensors: Sequence[Point2],
-                      noise: NoiseSpec, seed: int) -> SensorConfig:
-    """Ranges measured from a source point, with optional perturbation.
-
-    Deterministic for a given seed.  A perturbed range must stay
-    nonnegative; after 100 rejected draws the instance is abandoned.
-    """
-    rng = random.Random(seed)
-    ranges: List[float] = []
-    for z in sensors:
-        base = distance(source, z)
-        if noise.kind == "none" or noise.scale == 0.0:
-            ranges.append(base)
-            continue
-        for _ in range(100):
-            if noise.kind == "uniform":
-                delta = rng.uniform(-noise.scale, noise.scale)
-            else:
-                delta = rng.gauss(0.0, noise.scale)
-            if base + delta >= 0.0:
-                ranges.append(base + delta)
-                break
-        else:
-            raise NoiseRejection(
-                f"could not draw a nonnegative range near {base:.6g}")
-    return SensorConfig(tuple(sensors), tuple(ranges))
-
-
-# ---------------------------------------------------------------------------
-# candidate-point table
-
-_TABLE_PAIRS: Tuple[Tuple[str, int, int, int], ...] = (
-    ("S12+", 0, 1, 2), ("S23+", 1, 2, 0), ("S31+", 2, 0, 1),
-    ("S12-", 0, 1, 2), ("S23-", 1, 2, 0), ("S31-", 2, 0, 1),
-)
-
-
-def objective_table(config: SensorConfig,
-                    tie_tol: float = 1e-9) -> List[Tuple[str, float, bool]]:
-    """Objective at the six pairwise intersection points, minima flagged.
-
-    Entries within tie_tol (relative) of the least value are flagged; pass a
-    display-level tolerance when the inputs themselves are rounded.
-    """
-    zs, dsq = (a.tolist() for a in _sensor_arrays(config))
-    circles = config.circles()
-    values: List[Tuple[str, float]] = []
-    for label, i, j, k in _TABLE_PAIRS:
-        pair = circle_circle_intersect(circles[i], circles[j], config.Z[k])
-        if pair.count == 0:
-            raise MissingIntersection(f"circles {label[:3]} do not meet")
-        point = pair.plus_point if label.endswith("+") else pair.minus_point
-        values.append((label, _objective_scalar(zs, dsq, point.x, point.y)))
-    vmin = min(v for _, v in values)
-    cut = vmin + tie_tol * max(1.0, abs(vmin))
-    return [(label, v, v <= cut) for label, v in values]
 
 
 # ---------------------------------------------------------------------------

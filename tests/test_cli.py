@@ -251,6 +251,33 @@ def test_thresholds_payload(tmp_path, capsys):
     assert payload["validity"]["R"] is True
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_thresholds_scale_scan_prints_strict_json(tmp_path, capsys):
+    """Scaled bundles exit 0 with finite fields or 2, never a traceback."""
+    names = ("d3_0", "d1_0", "R", "M", "P", "Q", "d3_star", "t_star")
+    for base in ({"r": 1.0, "s": 1.0, "d": [1.0, 1.0, 1.0]}, FIVE_WAY_EXACT,
+                 {"r": 2.0, "s": 3.0, "d": [9.0, 9.0, 7.0]},
+                 {"r": 2.0, "s": 1.0, "d": [4.4721, 4.4721, 3.9155]}):
+        for e in range(-320, 301, 10):
+            x = 10.0 ** e
+            obj = {"r": base["r"] * x, "s": base["s"] * x,
+                   "d": [v * x for v in base["d"]]}
+            rc, out, err = run(capsys, ["thresholds",
+                                        write_instance(tmp_path, obj)])
+            assert rc in ((0,) if e == 0 else (0, 2)), (e, base)
+            if rc == 2:
+                assert out == "", (e, base)
+                assert (json.loads(err)["error"]["code"]
+                        == "PreconditionViolation"), (e, base)
+                continue
+            payload = json.loads(out, parse_constant=_reject_constant)
+            assert all(payload[k] is None or math.isfinite(payload[k])
+                       for k in names), (e, base)
+
+
 def test_thresholds_reject_general_layout(tmp_path, capsys):
     obj = {"sensors": [[0, 0], [2, 0], [1.5, 2.0]], "d": [1.0, 1.2, 1.0]}
     rc, _, err = run(capsys, ["thresholds", write_instance(tmp_path, obj)])
@@ -377,6 +404,74 @@ def test_contour_five_way_local_minima_near_solutions(tmp_path, capsys):
         assert nearest <= 2.2 * cell
 
 
+# --- numpy only where the grid oracle runs ---------------------------------
+
+def _child_env():
+    """The environment with the checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(trilat.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+# Runs ``trilat`` in a fresh interpreter and reports, last on stderr,
+# whether numpy was imported by the time the command returned.
+_NUMPY_PROBE = ("import sys; from trilat.cli import main; rc = main(); "
+                "sys.stderr.write('numpy imported: %s\\n' "
+                "% ('numpy' in sys.modules)); sys.exit(rc)")
+
+_GENERAL = {"sensors": [[-2.2, -3.7], [4.1, -1.9], [-0.6, 4.3]],
+            "d": [3.4, 5.9, 4.8]}
+_NOISY = {"sensors": [[-1, 0], [1, 0], [0.3, 1.8]],
+          "generator": {"source": [0.2, 0.7], "seed": 4,
+                        "noise": {"kind": "uniform", "scale": 0.2}}}
+
+
+def _run_child(argv, instance=None):
+    stdin = json.dumps(instance) if instance is not None else None
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          input=stdin, capture_output=True, text=True,
+                          timeout=300, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv,instance", [
+    pytest.param(["solve", "-"], FIVE_WAY_EXACT, id="solve-r-s"),
+    pytest.param(["solve", "-"], _GENERAL, id="solve-sensors"),
+    pytest.param(["solve", "-"], _NOISY, id="solve-generator"),
+    pytest.param(["table", "--family", "equilateral"], None,
+                 id="table-equilateral"),
+    pytest.param(["table", "--family", "isosceles"], None,
+                 id="table-isosceles"),
+    pytest.param(["table", "--family", "four-equal"], None,
+                 id="table-four-equal"),
+    pytest.param(["thresholds", "-"], FIVE_WAY_EXACT, id="thresholds"),
+    pytest.param(["sweep", "--r", "2", "--s", "3", "--d1", "5", "11",
+                  "--d3", "4", "11", "--steps", "5"], None, id="sweep"),
+])
+def test_closed_form_commands_never_import_numpy(argv, instance):
+    out, probe = _run_child(argv, instance)
+    assert out
+    assert probe == "numpy imported: False"
+
+
+def test_oracle_commands_run_in_a_fresh_process():
+    out, probe = _run_child(["solve", "--oracle-check", "-"], FIVE_WAY_EXACT)
+    assert probe == "numpy imported: True"
+    agreement = json.loads(out)["oracle_agreement"]
+    assert set(agreement) == {"clusters", "max_position_error", "value_error"}
+    assert agreement["clusters"] == 5
+    out, _ = _run_child(["oracle", "--resolution", "64", "--rounds", "2", "-"],
+                        FIVE_WAY_EXACT)
+    assert set(json.loads(out)) == {"schema", "global_value", "cluster_radius",
+                                    "minima", "round_values"}
+    out, _ = _run_child(["contour", "--resolution", "8", "-"], FIVE_WAY_EXACT)
+    lines = out.splitlines()
+    assert lines[0] == "x,y,objective" and len(lines) == 1 + 8 * 8
+
+
 # --- console script ---------------------------------------------------------
 
 def _declared_entry_point(rootpath):
@@ -400,13 +495,10 @@ def test_console_script_runs(request, tmp_path):
     module, attr = _declared_entry_point(request.config.rootpath)
     code = (f"import sys; from {module} import {attr} as entry; "
             "sys.exit(entry())")
-    env = dict(os.environ)
-    src = str(Path(trilat.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", code, "table", "--family", "equilateral"],
-        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env)
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("row,d1,d3")
 

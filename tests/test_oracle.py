@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import S3, canonical
-from trilat import oracle
+from trilat import geometry, oracle
 from trilat.errors import MissingIntersection, NoiseRejection
 from trilat.geometry import Point2, SensorConfig, circle_circle_intersect, distance
 from trilat.oracle import (GridSpec, NoiseSpec, brute_force_minimize,
-                           contour_grid, default_grid, generate_instance,
-                           objective_table)
+                           contour_grid, default_grid, generate_instance)
+from trilat.regions import objective_table
 
 
 def test_grid_spec_validation():
@@ -220,6 +220,26 @@ class TestSurvivorCap:
         out = oracle._prune(px, -px, vals, 0.0, 0.15, 0.0, 1.0)
         assert out[0].tolist() == [1.0, 5.0] and out[3] == 0
 
+    @pytest.mark.parametrize("cap", [1, 3, 50, 400])
+    def test_partial_selection_matches_a_full_sort(self, monkeypatch, cap):
+        """Heavy ties in value and position, ties at the cut included."""
+        monkeypatch.setattr(oracle, "_SURVIVOR_CAP", cap)
+        rng = np.random.default_rng(cap)
+        for levels in (1, 2, 5, 40):
+            n = 3 * cap + 7
+            vals = rng.integers(0, levels, n).astype(float)
+            px = rng.integers(0, 4, n).astype(float)
+            py = rng.integers(0, 3, n).astype(float)
+            ranked = np.lexsort((py, px, vals))
+            full = ranked[:cap]
+            if levels <= 2:  # the cut splits a run of equal values
+                assert vals[full[-1]] == vals[ranked[cap]]
+            out = oracle._prune(px, py, vals, 0.0, float(levels), 0.0, 1.0)
+            assert out[0].tolist() == px[full].tolist()
+            assert out[1].tolist() == py[full].tolist()
+            assert out[2].tolist() == vals[full].tolist()
+            assert out[3] == n - cap
+
     def test_capped_out_totals_every_round(self, monkeypatch):
         cap = oracle._SURVIVOR_CAP
         dropped = []
@@ -296,7 +316,7 @@ class TestGenerateInstance:
             def gauss(self, mu, sigma):
                 return -1e18
 
-        monkeypatch.setattr(oracle.random, "Random", _AlwaysNegative)
+        monkeypatch.setattr(geometry.random, "Random", _AlwaysNegative)
         with pytest.raises(NoiseRejection):
             generate_instance(self.src, self.sensors,
                               NoiseSpec("uniform", 0.3), seed=0)
@@ -317,6 +337,60 @@ def test_noisy_instances_have_positive_minimum():
         if res.global_value > 1e-12:
             positive += 1
     assert positive >= 990
+
+
+def _objective_table_on_arrays(config, tie_tol=1e-9):
+    """``objective_table`` as the oracle computed it, on its sensor arrays."""
+    zs, dsq = (a.tolist() for a in oracle._sensor_arrays(config))
+    circles = config.circles()
+    values = []
+    for label, i, j, k in (("S12+", 0, 1, 2), ("S23+", 1, 2, 0),
+                           ("S31+", 2, 0, 1), ("S12-", 0, 1, 2),
+                           ("S23-", 1, 2, 0), ("S31-", 2, 0, 1)):
+        pair = circle_circle_intersect(circles[i], circles[j], config.Z[k])
+        if pair.count == 0:
+            raise MissingIntersection(label)
+        point = pair.plus_point if label.endswith("+") else pair.minus_point
+        values.append((label, oracle._objective_scalar(zs, dsq, point.x,
+                                                       point.y)))
+    vmin = min(v for _, v in values)
+    cut = vmin + tie_tol * max(1.0, abs(vmin))
+    return [(label, v, v <= cut) for label, v in values]
+
+
+def test_objective_table_matches_the_array_path_bit_for_bit():
+    """1,000 general and isosceles layouts whose six intersections exist."""
+    rng = random.Random(6)
+    compared = 0
+    for n in range(2000):
+        src = Point2(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
+        if n % 2:
+            r, s = rng.uniform(0.5, 4.0), rng.uniform(0.3, 5.0)
+            src = Point2(0.0, src.y)
+            d1 = distance(src, Point2(r / 2.0, 0.0)) * rng.uniform(0.9, 1.1)
+            cfg = canonical(r, s, d1, distance(src, Point2(0.0, s))
+                            * rng.uniform(0.9, 1.1))
+        else:
+            zs = tuple(Point2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+                       for _ in range(3))
+            cfg = SensorConfig(zs, tuple(distance(src, z) * rng.uniform(0.9, 1.1)
+                                         for z in zs))
+        try:
+            want = _objective_table_on_arrays(cfg)
+        except MissingIntersection:
+            with pytest.raises(MissingIntersection):
+                objective_table(cfg)
+            continue
+        assert objective_table(cfg) == want
+        compared += 1
+        if compared == 1000:
+            break
+    assert compared == 1000
+
+
+def test_oracle_reexports_the_instance_generator():
+    assert oracle.generate_instance is geometry.generate_instance
+    assert oracle.NoiseSpec is geometry.NoiseSpec
 
 
 class TestObjectiveTable:
