@@ -8,17 +8,16 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import PreconditionViolation
+from .errors import MissingIntersection, PreconditionViolation
 from .geometry import (SQRT3_2, Point2, SensorConfig, canonical_frame,
                        centroid_points, circle_circle_intersect, config_scale,
                        distance, n3_point)
 from .regions import objective_value
-from .thresholds import (ROW_CACHE_SIZE, compute_bundle, row_thresholds,
-                         threshold_P)
+from .thresholds import (ROW_CACHE_SIZE, _require_usable_scale, compute_bundle,
+                         row_thresholds)
 
 REL_TIE = 1e-9
 
@@ -53,19 +52,6 @@ class SolutionSet:
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-def _require_usable_scale(scale: float) -> None:
-    """Reject length scales L whose square is not a finite normal float.
-
-    Objective values are measured in units of L^2; outside that range they
-    overflow to inf or underflow to 0 and no tie can be told apart.
-    """
-    square = scale * scale
-    if not sys.float_info.min <= square < math.inf:
-        raise PreconditionViolation(
-            f"length scale {scale!r} is too large or too small: "
-            f"its square {square!r} is not a finite normal float")
-
 
 def _pair_point(config: SensorConfig, role: Role) -> Optional[Point2]:
     i, j, k, plus = _PAIR_BY_ROLE[role]
@@ -277,10 +263,8 @@ def _solve_from_blocks(r: float, s: float, d1: float, d3: float,
     candidates = [c for c in (_materialize(config, sym) for sym in symbols)
                   if c is not None]
     if not candidates:
-        fallback = solve_general(config, tol=tol)
-        return SolutionSet(fallback.points, fallback.objective_value,
-                           fallback.multiplicity,
-                           f"{family}:fallback", fallback.near_threshold)
+        raise MissingIntersection(
+            f"no table row yields a candidate at d1={d1!r}, d3={d3!r}")
     pos_eps = REL_TIE * (1.0 + config_scale(config))
     winners, vmin = _argmin_set(config, candidates, pos_eps)
     derivation = f"{family}:{'+'.join(row_ids)}"
@@ -319,22 +303,21 @@ def solve_equilateral(r: float, d1: float, d3: float,
 
 
 def solve_isosceles(r: float, s: float, d1: float, d3: float,
-                    tol: float = 1e-9, _force: Optional[str] = None) -> SolutionSet:
+                    tol: float = 1e-9) -> SolutionSet:
     """Minimizer set for base r, apex height s, ranges (d1, d1, d3).
 
     Within tolerance of the equilateral height the dedicated equal-sided
-    tables are used instead, unless a regime is forced for testing.
+    tables are used instead.
     """
     if r <= 0.0 or s <= 0.0 or d1 < 0.0 or d3 < 0.0:
         raise PreconditionViolation("need r, s > 0 and nonnegative ranges")
     t3 = SQRT3_2 * r
-    if _force is None and abs(s - t3) <= tol * r:
+    if abs(s - t3) <= tol * r:
         return solve_equilateral(r, d1, d3, tol)
     _require_usable_scale(max(r, math.hypot(r / 2.0, s)) + max(d1, d3))
-    regime = _force if _force is not None else ("flat" if s < t3 else "sharp")
-    family = "isosceles-flat" if regime == "flat" else "isosceles-sharp"
-    return _solve_from_blocks(r, s, d1, d3,
-                              _isosceles_blocks(r, s, d1, regime), family, tol)
+    regime = "flat" if s < t3 else "sharp"
+    return _solve_from_blocks(r, s, d1, d3, _isosceles_blocks(r, s, d1, regime),
+                              f"isosceles-{regime}", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -410,66 +393,7 @@ def multiplicity_conditions(r: float, s: float, d1: float, d3: float,
 
 
 # ---------------------------------------------------------------------------
-# the four-equal family (d1 = d2 = |Z1 Z3| circles through the far base point)
-
-def four_equal_branch(r: float, s: float, d1: float,
-                      tol: float = 1e-9) -> SolutionSet:
-    """Minimizers along d3^2 = d1^2 - s^2 - r^2/4, classified by d1 against P."""
-    leg_sq = s * s + r * r / 4.0
-    if d1 * d1 <= leg_sq:
-        raise PreconditionViolation("d1 must exceed the base-apex distance")
-    d3 = math.sqrt(d1 * d1 - leg_sq)
-    p = threshold_P(r, s)
-    eps = tol * (1.0 + d1 + (p if p is not None else 0.0))
-    config = SensorConfig.from_canonical(r, s, (d1, d1, d3))
-    if p is not None and abs(d1 - p) <= eps:
-        symbols = ("S12plus", "S23plus", "S23minus", "S31plus", "S31minus")
-        branch = "five"
-    elif p is not None and d1 > p:
-        symbols = ("S23plus", "S23minus", "S31plus", "S31minus")
-        branch = "outer"
-    else:
-        symbols = ("S12plus",)
-        branch = "single"
-    candidates = [c for c in (_materialize(config, sym) for sym in symbols)
-                  if c is not None]
-    pos_eps = REL_TIE * (1.0 + config_scale(config))
-    vals = [objective_value(config, c.location) for c in candidates]
-    vmin = min(vals)
-    winners: List[CandidatePoint] = []
-    for cand in candidates:
-        if any(distance(cand.location, w.location) <= pos_eps for w in winners):
-            continue
-        winners.append(cand)
-    near = (("P", d1 - p),) if p is not None else ()
-    return SolutionSet(tuple(winners), vmin, len(winners),
-                       f"four-equal:{branch}", near)
-
-
-def four_equal_objectives(r: float, s: float,
-                          d3: float) -> Tuple[float, float, float]:
-    """Closed-form objective values on the four-equal family.
-
-    Returns (base '+', base '-', leg '-') values; the leg '+' value equals
-    the base '+' value on this family by construction.
-    """
-    if r <= 0.0 or s <= 0.0 or d3 <= 0.0:
-        raise PreconditionViolation("need positive r, s, d3")
-    leg = math.sqrt(s * s + r * r / 4.0)
-    o_s31_minus = 2.0 * r * s * d3 / leg
-    root = math.sqrt(d3 * d3 + s * s)
-    o_s12_plus = -2.0 * s * s + 2.0 * s * root
-    o_s12_minus = 2.0 * s * s + 2.0 * s * root
-    return o_s12_plus, o_s12_minus, o_s31_minus
-
-
-# ---------------------------------------------------------------------------
 # general instances: exhaustive candidate scan
-
-def _region_bits(config: SensorConfig, p: Point2, eps: float) -> Tuple[int, ...]:
-    return tuple(1 if distance(p, z) <= d + eps else 0
-                 for z, d in zip(config.Z, config.d))
-
 
 def _in_region(config: SensorConfig, p: Point2, bits: Tuple[int, ...],
                eps: float) -> bool:
@@ -503,66 +427,19 @@ def _radial_candidates(config: SensorConfig, eps: float) -> List[CandidatePoint]
     return out
 
 
-def _first_crossing(config: SensorConfig, p: Point2, ux: float, uy: float,
-                    eps: float) -> Optional[float]:
-    """Smallest positive ray parameter where a circle is crossed."""
-    best: Optional[float] = None
-    for z, d in zip(config.Z, config.d):
-        mx, my = p.x - z.x, p.y - z.y
-        bq = mx * ux + my * uy
-        cq = mx * mx + my * my - d * d
-        disc = bq * bq - cq
-        if disc < 0.0:
-            continue
-        root = math.sqrt(disc)
-        for t in (-bq - root, -bq + root):
-            if t > eps and (best is None or t < best):
-                best = t
-    return best
-
-
-def _descent_polish(config: SensorConfig, start: Point2, eps: float,
-                    max_iter: int = 100) -> Tuple[Point2, float]:
-    """Piecewise-quadratic descent: step toward/away from the active center."""
-    cents = centroid_points(*config.Z)
-    w = start
-    best = objective_value(config, w)
-    for _ in range(max_iter):
-        bits = _region_bits(config, w, eps)
-        k = sum(bits)
-        if k == 0:
-            target, attract = cents[0], True
-        elif k == 1:
-            target, attract = cents[1 + bits.index(1)], True
-        elif k == 2:
-            target, attract = cents[1 + bits.index(0)], False
-        else:
-            target, attract = cents[0], False
-        dx, dy = target.x - w.x, target.y - w.y
-        norm = math.hypot(dx, dy)
-        if norm <= eps:
-            break
-        ux, uy = dx / norm, dy / norm
-        if not attract:
-            ux, uy = -ux, -uy
-        cross = _first_crossing(config, w, ux, uy, eps)
-        if attract:
-            step = norm if cross is None else min(norm, cross)
-        else:
-            if cross is None:
-                break
-            step = cross
-        trial = Point2(w.x + step * ux, w.y + step * uy)
-        val = objective_value(config, trial)
-        if val < best - REL_TIE * max(1.0, abs(best)):
-            w, best = trial, val
-        else:
-            break
-    return w, best
-
-
 def solve_general(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
-    """Minimizer set for an arbitrary noncollinear sensor layout."""
+    """Minimizer set for an arbitrary noncollinear sensor layout.
+
+    The candidate set is complete, so the best candidates are the answer:
+
+    * Where W lies strictly inside k of the disks, O is a quadratic with
+      |W|^2 coefficient 3 - 2k.  Its only interior minima are Y0 (k = 0) and
+      Yj (k = 1, inside disk j alone); both are kept when in their region.
+    * On an arc of circle j, |W - Zj|^2 = dj^2 turns O linear in W.  Its
+      extremes lie on the line through Zj towards one of the anchors Y0..Y3:
+      these are the radial projections.
+    * The arcs meet at the pairwise circle intersections.
+    """
     canonical_frame(*config.Z, tol=tol)
     scale = 1.0 + config_scale(config)
     eps = tol * scale
@@ -581,18 +458,7 @@ def solve_general(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
             candidates.append(CandidatePoint(cents[j + 1], f"Y{j + 1}"))
     candidates.extend(_radial_candidates(config, eps))
 
-    pos_eps = REL_TIE * scale
-    winners, vmin = _argmin_set(config, candidates, pos_eps)
-
-    # Confirming polish from each winner; accept only a real improvement.
-    improved: List[CandidatePoint] = []
-    for w in winners:
-        refined, val = _descent_polish(config, w.location, eps)
-        if val < vmin - REL_TIE * max(1.0, abs(vmin)):
-            improved.append(CandidatePoint(refined, "RegionProjection"))
-    if improved:
-        winners, vmin = _argmin_set(config, list(winners) + improved, pos_eps)
-
+    winners, vmin = _argmin_set(config, candidates, REL_TIE * scale)
     return SolutionSet(tuple(winners), vmin, len(winners), "general-scan", ())
 
 

@@ -20,19 +20,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import classifier, thresholds
 from .errors import (BoundsTooSmall, ConcentricIdentical,
-                     DegenerateArrangement, DegenerateDirection,
-                     DegenerateTriangle, MissingIntersection, NoBracket,
-                     NoiseRejection, PreconditionViolation)
+                     DegenerateDirection, DegenerateTriangle,
+                     MissingIntersection, NoBracket, NoiseRejection,
+                     PreconditionViolation)
 from .geometry import (NoiseSpec, Point2, SensorConfig, canonical_frame,
                        config_scale, distance, generate_instance)
 from .regions import objective_table
 
 SCHEMA = "trilat/1"
 
-_DEGENERATE_ERRORS = (ConcentricIdentical, DegenerateArrangement,
-                      DegenerateDirection, DegenerateTriangle,
-                      MissingIntersection, NoBracket, PreconditionViolation,
-                      BoundsTooSmall, NoiseRejection)
+_DEGENERATE_ERRORS = (ConcentricIdentical, DegenerateDirection,
+                      DegenerateTriangle, MissingIntersection, NoBracket,
+                      PreconditionViolation, BoundsTooSmall, NoiseRejection)
 
 
 class _SchemaError(Exception):
@@ -369,7 +368,7 @@ def cmd_contour(args: argparse.Namespace) -> int:
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
     config = _load_instance(args.instance, args.seed)
-    classifier._require_usable_scale(config_scale(config))
+    thresholds._require_usable_scale(config_scale(config))
     frame = canonical_frame(*config.Z)
     scale = 1.0 + frame.r + frame.s + max(config.d)
     if frame.shape == "General":

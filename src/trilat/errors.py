@@ -17,10 +17,6 @@ class DegenerateDirection(TrilatError):
     """A direction-dependent construction was asked for a zero-length direction."""
 
 
-class DegenerateArrangement(TrilatError):
-    """All three circles pass through one common point; the face structure is ambiguous."""
-
-
 class PreconditionViolation(TrilatError):
     """An operation was called outside its documented domain."""
 

@@ -38,10 +38,6 @@ def distance(p: Point2, q: Point2) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def midpoint(p: Point2, q: Point2) -> Point2:
-    return Point2((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
-
-
 @dataclass(frozen=True)
 class Circle:
     center: Point2
@@ -191,11 +187,6 @@ def centroid_points(z1: Point2, z2: Point2, z3: Point2
     def reflect(z: Point2) -> Point2:
         return Point2(3.0 * y0.x - 2.0 * z.x, 3.0 * y0.y - 2.0 * z.y)
     return y0, reflect(z1), reflect(z2), reflect(z3)
-
-
-def side_midpoints(z1: Point2, z2: Point2, z3: Point2
-                   ) -> Tuple[Point2, Point2, Point2]:
-    return midpoint(z1, z2), midpoint(z2, z3), midpoint(z3, z1)
 
 
 def n3_point(config: SensorConfig) -> Point2:

@@ -23,49 +23,29 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .errors import NoBracket, PreconditionViolation
-from .geometry import SQRT3_2, SensorConfig, distance
+from .geometry import SQRT3_2
 
 # Entries kept by each per-d1 cache.  A solve reads one key, and a sweep
 # visits the cells of one d1 row in a row, so it misses once per row.
 ROW_CACHE_SIZE = 1
 
 
-def _check_symmetric(config: SensorConfig, tol: float = 1e-9) -> Tuple[float, float, float, float]:
-    """Validate the equal-leg, equal-range layout; return (r, s, d1, d3)."""
-    z1, z2, z3 = config.Z
-    r = distance(z1, z2)
-    leg1 = distance(z1, z3)
-    leg2 = distance(z2, z3)
-    scale = r + leg1 + leg2 + max(config.d)
-    if abs(leg1 - leg2) > tol * scale:
-        raise PreconditionViolation("apex is not equidistant from the base sensors")
-    if abs(config.d[0] - config.d[1]) > tol * scale:
-        raise PreconditionViolation("base ranges differ")
-    s_sq = leg1 * leg1 - r * r / 4.0
-    s = math.sqrt(max(s_sq, 0.0))
-    d1 = (config.d[0] + config.d[1]) / 2.0
-    return r, s, d1, config.d[2]
+def _require_usable_scale(scale: float, name: str = "length scale") -> None:
+    """Reject length scales L whose square is not a finite normal float.
 
-
-def d3_zero(config: SensorConfig) -> float:
-    """Apex range at which the two base-pair intersection objectives tie."""
-    r, s, d1, _ = _check_symmetric(config)
-    if 2.0 * d1 < r:
-        raise PreconditionViolation("base circles do not intersect")
-    return math.sqrt(d1 * d1 + s * s - r * r / 4.0)
-
-
-def d1_zero(config: SensorConfig) -> float:
-    """Base range at which a leg-pair's two intersection objectives tie."""
-    r, s, d1, d3 = _check_symmetric(config)
-    leg_sq = s * s + r * r / 4.0
-    if leg_sq <= 0.0:
-        raise PreconditionViolation("degenerate apex")
-    return math.sqrt(d1 * d1 + (leg_sq + d3 * d3 - d1 * d1) * r * r / (2.0 * leg_sq))
+    Objective values are measured in units of L^2; outside that range they
+    overflow to inf or underflow to 0 and no tie can be told apart.
+    """
+    square = scale * scale
+    if not sys.float_info.min <= square < math.inf:
+        raise PreconditionViolation(
+            f"{name} {scale!r} is too large or too small: "
+            f"its square {square!r} is not a finite normal float")
 
 
 def threshold_R(r: float, s: float, d1: float) -> float:
@@ -199,7 +179,12 @@ class RowThresholds:
 
 @functools.lru_cache(maxsize=ROW_CACHE_SIZE)
 def row_thresholds(r: float, s: float, d1: float) -> RowThresholds:
-    """P, R, M, the four-equal radius d3m and d3* for one (r, s, d1)."""
+    """P, R, M, the four-equal radius d3m and d3* for one (r, s, d1).
+
+    The formulas divide by sums of r^2 and s^2, so the base length r must
+    have a normal square: below that the denominators underflow to 0.
+    """
+    _require_usable_scale(r, "base length")
     p = threshold_P(r, s)
     star: Optional[D3StarResult] = None
     if p is not None and d1 > p:

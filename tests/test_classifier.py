@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import MAP_WINDOWS, S3, canonical, rel, sweep_axes
 from trilat import classifier, thresholds
-from trilat.classifier import (four_equal_branch, four_equal_objectives,
-                               multiplicity_conditions, solve,
+from trilat.classifier import (multiplicity_conditions, solve,
                                solve_equilateral, solve_general,
                                solve_isosceles)
-from trilat.errors import DegenerateTriangle
-from trilat.geometry import Point2, SensorConfig, distance
-from trilat.regions import objective_value
+from trilat.errors import DegenerateTriangle, MissingIntersection
+from trilat.geometry import Point2, SensorConfig, config_scale, distance
+from trilat.regions import objective_table, objective_value
 
 
 # --- general scan -----------------------------------------------------------
@@ -33,6 +32,37 @@ def test_general_noiseless_source():
     assert sol.multiplicity == 1
     assert sol.objective_value < 1e-9
     assert distance(sol.points[0].location, src) < 1e-6
+
+
+def test_general_winners_are_local_minima():
+    """Nothing within 1e-6 L or 1e-3 L of a winner lies below the minimum.
+
+    The scan takes the best of a finite candidate set; were that set
+    incomplete, some winner would have a descent direction.
+    """
+    rng = random.Random(8128)
+    directions = [(math.cos(math.pi * k / 8), math.sin(math.pi * k / 8))
+                  for k in range(16)]
+    for _ in range(2000):
+        k = 10.0 ** rng.uniform(-3.0, 3.0)
+        while True:
+            zs = [Point2(k * rng.uniform(-5, 5), k * rng.uniform(-5, 5))
+                  for _ in range(3)]
+            ax, ay = zs[1].x - zs[0].x, zs[1].y - zs[0].y
+            bx, by = zs[2].x - zs[0].x, zs[2].y - zs[0].y
+            if abs(ax * by - ay * bx) > 0.5 * k * k:
+                break
+        cfg = SensorConfig(tuple(zs),
+                           tuple(k * rng.uniform(0.3, 8.0) for _ in range(3)))
+        scale = config_scale(cfg)
+        sol = solve_general(cfg)
+        floor = sol.objective_value - 1e-12 * scale * scale
+        for cand in sol.points:
+            w = cand.location
+            for step in (1e-6 * scale, 1e-3 * scale):
+                for ux, uy in directions:
+                    probe = Point2(w.x + step * ux, w.y + step * uy)
+                    assert objective_value(cfg, probe) >= floor, (cfg, cand)
 
 
 def test_general_matches_equilateral_row():
@@ -130,6 +160,55 @@ def test_reflection_symmetric_solution_set():
     assert xs == sorted(round(-x, 9) for x in xs)
 
 
+def _locus_cells(r, s, d1s):
+    """(d1, d3) cells with d3 exactly on every tie locus of each d1 row."""
+    for d1 in d1s:
+        row = thresholds.row_thresholds(r, s, d1)
+        h = row.h
+        loci = [2.0 * s / 3.0, 2.0 * s, d1, math.sqrt(d1 * d1 + 2.0 * r * r),
+                s - h, s + h, math.sqrt(h * h + s * s), row.R, row.M, row.d3m,
+                row.star.value if row.star is not None else None]
+        for d3 in loci:
+            if d3 is not None and d3 >= 0.0:
+                yield d1, d3
+
+
+def test_tables_name_a_row_on_every_locus_cell():
+    """Cells placed exactly on the table breakpoints still match a row.
+
+    A gap in the case tables raises MissingIntersection here instead of
+    passing silently.
+    """
+    r = 2.0
+    rng = random.Random(99)
+    for s in (1.0, 3.0, S3, *(rng.uniform(0.2, 4.0) for _ in range(3))):
+        a = math.sqrt(r * r / 4.0 + s * s / 9.0)
+        b = math.sqrt(r * r / 4.0 + s * s)
+        d1s = [r / 2.0, a, b, r]
+        if s != S3 / 2.0 * r:  # the equal-sided tables have no P
+            p = (thresholds.threshold_P(r, s) if s > S3 / 2.0 * r
+                 else thresholds.threshold_P_flat(r, s))
+            d1s.append(p)
+        d1s += [rng.uniform(0.05, 12.0) for _ in range(120)]
+        for d1, d3 in _locus_cells(r, s, d1s):
+            sol = solve_isosceles(r, s, d1, d3)
+            assert sol.points, (s, d1, d3)
+            _, _, row_ids = sol.derivation.partition(":")
+            assert row_ids and all(row_ids.split("+")), (s, d1, d3)
+
+
+def test_solve_from_blocks_without_a_candidate_raises():
+    with pytest.raises(MissingIntersection, match="d1=5.0, d3=4.0"):
+        classifier._solve_from_blocks(2.0, 3.0, 5.0, 4.0, (),
+                                      "isosceles-sharp", 1e-9)
+    # the row matches, but base circles of radius 0.5 < r/2 do not meet
+    everywhere = (0.0, True, math.inf, False)
+    blocks = ((*everywhere, ((*everywhere, ("S12plus",), "x.1"),), "x"),)
+    with pytest.raises(MissingIntersection):
+        classifier._solve_from_blocks(2.0, 3.0, 0.5, 4.0, blocks,
+                                      "isosceles-sharp", 1e-9)
+
+
 # --- multiplicity conditions ------------------------------------------------
 
 def test_conditions_five_point():
@@ -160,47 +239,64 @@ def test_conditions_agree_with_table_path():
 
 
 # --- four-equal branch ------------------------------------------------------
+#
+# Cells on d3^2 = d1^2 - s^2 - r^2/4, which the tables classify by d1 against P.
+
+def _four_equal(r, s, d1):
+    return solve_isosceles(r, s, d1, math.sqrt(d1 * d1 - s * s - r * r / 4.0))
+
 
 def test_four_equal_inner_row():
-    fb = four_equal_branch(2.0, 1.5, math.sqrt(7.25))
-    assert fb.multiplicity == 1
-    assert abs(fb.objective_value - 3.0) < 1e-3
+    sol = _four_equal(2.0, 1.5, math.sqrt(7.25))
+    assert sol.multiplicity == 1
+    assert abs(sol.objective_value - 3.0) < 1e-3
 
 
 def test_four_equal_five_tie_at_P():
-    fb = four_equal_branch(2.0, 3.0, math.sqrt(50))
-    assert fb.multiplicity == 5
-    assert abs(fb.objective_value - 24.0) < 1e-6
+    sol = _four_equal(2.0, 3.0, math.sqrt(50))
+    assert sol.multiplicity == 5
+    assert abs(sol.objective_value - 24.0) < 1e-6
 
 
 def test_four_equal_outer_row():
-    fb = four_equal_branch(2.0, 3.0, 9.0)
-    assert fb.multiplicity == 4
+    sol = _four_equal(2.0, 3.0, 9.0)
+    assert sol.multiplicity == 4
+
+
+def _four_equal_objectives(r, s, d3):
+    """Closed forms on the four-equal family: base '+', base '-', leg '-'."""
+    leg = math.sqrt(s * s + r * r / 4.0)
+    root = math.sqrt(d3 * d3 + s * s)
+    return (-2.0 * s * s + 2.0 * s * root, 2.0 * s * s + 2.0 * s * root,
+            2.0 * r * s * d3 / leg)
+
+
+def _four_equal_table(r, s, d3):
+    d1 = math.sqrt(d3 * d3 + s * s + r * r / 4.0)
+    return {label: v for label, v, _ in
+            objective_table(canonical(r, s, d1, d3))}
 
 
 def test_four_equal_closed_forms():
-    o = four_equal_objectives(2.0, 1.5, 2.0)
-    assert abs(o[0] - 3.0) < 1e-3
-    assert abs(o[1] - 12.0) < 1e-3
-    assert abs(o[2] - 6.6564) < 1e-3
+    o = _four_equal_table(2.0, 1.5, 2.0)
+    assert abs(o["S12+"] - 3.0) < 1e-3
+    assert abs(o["S12-"] - 12.0) < 1e-3
+    assert abs(o["S31-"] - 6.6564) < 1e-3
     # d3 -> 0 limit vanishes
-    assert abs(four_equal_objectives(2.0, 1.5, 1e-9)[0]) < 1e-6
-    o3 = four_equal_objectives(2.0, 3.0, math.sqrt(40))
-    assert abs(o3[0] - 24.0) < 1e-3
-    assert abs(o3[1] - 60.0) < 1e-3
-    assert abs(o3[2] - 24.0) < 1e-3
+    assert abs(_four_equal_table(2.0, 1.5, 1e-9)["S12+"]) < 1e-6
+    o3 = _four_equal_table(2.0, 3.0, math.sqrt(40))
+    assert abs(o3["S12+"] - 24.0) < 1e-3
+    assert abs(o3["S12-"] - 60.0) < 1e-3
+    assert abs(o3["S31-"] - 24.0) < 1e-3
 
 
 def test_four_equal_closed_forms_match_direct_evaluation():
-    from trilat.geometry import circle_circle_intersect
-    o = four_equal_objectives(2.0, 1.5, 2.0)
-    cfg = canonical(2.0, 1.5, math.sqrt(7.25), 2.0)
-    c = cfg.circles()
-    s12 = circle_circle_intersect(c[0], c[1], cfg.Z[2])
-    s31 = circle_circle_intersect(c[2], c[0], cfg.Z[1])
-    assert abs(o[0] - objective_value(cfg, s12.plus_point)) < 1e-9 * max(1.0, o[0])
-    assert abs(o[1] - objective_value(cfg, s12.minus_point)) < 1e-9 * o[1]
-    assert abs(o[2] - objective_value(cfg, s31.minus_point)) < 1e-9 * o[2]
+    for s, d3 in ((1.5, 2.0), (3.0, math.sqrt(40)), (1.0, 0.7), (2.2, 5.5)):
+        want = _four_equal_objectives(2.0, s, d3)
+        o = _four_equal_table(2.0, s, d3)
+        got = (o["S12+"], o["S12-"], o["S31-"])
+        for w, g in zip(want, got):
+            assert abs(w - g) < 1e-9 * max(1.0, w), (s, d3)
 
 
 # --- routing through arbitrary frames --------------------------------------

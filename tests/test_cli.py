@@ -278,6 +278,26 @@ def test_thresholds_scale_scan_prints_strict_json(tmp_path, capsys):
                        for k in names), (e, base)
 
 
+def test_tiny_base_under_unit_ranges_exits_cleanly(tmp_path, capsys):
+    """Sensors 10^e apart with unit ranges: exit 0, or 2 with a JSON error.
+
+    L is about 1, but below e = -154 r^2 and s^2 are not normal floats; the
+    threshold denominators underflowed to 0 and raised ZeroDivisionError.
+    """
+    for e in range(-320, 1, 10):
+        x = 10.0 ** e
+        path = write_instance(tmp_path, {"r": x, "s": x, "d": [1, 1, 1]})
+        for command in ("solve", "thresholds"):
+            rc, out, err = run(capsys, [command, path])
+            assert rc in (0, 2), (command, e)
+            if rc == 2:
+                assert out == "", (command, e)
+                code = json.loads(err)["error"]["code"]
+                assert code == "PreconditionViolation" or e > -154, (command, e)
+            else:
+                json.loads(out, parse_constant=_reject_constant)
+
+
 def test_thresholds_reject_general_layout(tmp_path, capsys):
     obj = {"sensors": [[0, 0], [2, 0], [1.5, 2.0]], "d": [1.0, 1.2, 1.0]}
     rc, _, err = run(capsys, ["thresholds", write_instance(tmp_path, obj)])

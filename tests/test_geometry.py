@@ -13,8 +13,7 @@ from conftest import S3, canonical
 from trilat.errors import DegenerateTriangle
 from trilat.geometry import (Circle, Point2, SensorConfig, canonical_frame,
                              centroid_points, circle_circle_intersect,
-                             config_scale, distance, midpoint, n3_point,
-                             side_midpoints)
+                             config_scale, distance, n3_point)
 
 # --- strategies -------------------------------------------------------------
 
@@ -195,17 +194,6 @@ def test_point2_rejects_nonfinite():
         Point2(math.nan, 0.0)
     with pytest.raises(ValueError):
         Point2(0.0, math.inf)
-
-
-def test_midpoint_and_side_midpoints():
-    m = midpoint(Point2(0, 0), Point2(2, 4))
-    assert (m.x, m.y) == (1, 2)
-    L, M, N = side_midpoints(Point2(-1, 0), Point2(1, 0), Point2(0, 2))
-    assert (L.x, L.y) == (0, 0)
-    assert (M.x, M.y) == (0.5, 1)
-    assert (N.x, N.y) == (-0.5, 1)
-    L2, _, _ = side_midpoints(Point2(0, 0), Point2(4, 0), Point2(0, 4))
-    assert (L2.x, L2.y) == (2, 0)
 
 
 def test_sensor_config_validation():

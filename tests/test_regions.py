@@ -1,35 +1,19 @@
-"""Objective evaluation, disk-membership labels, and arrangement topology."""
-import math
-import random
-
-import numpy as np
-import pytest
+"""Objective evaluation, disk membership, and the outside-all-disks quadratic."""
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
 
 from conftest import S3, canonical
-from trilat.errors import (ConcentricIdentical, DegenerateArrangement,
-                           PreconditionViolation)
+from trilat.classifier import _in_region
 from trilat.geometry import Point2, SensorConfig, centroid_points, distance
-from trilat.regions import (classify_point, objective, objective_value,
-                            quadratic_constant, quadratic_form_check,
-                            region_topology)
+from trilat.regions import objective_value
 
 coords = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
-
-
-def test_objective_terms_sum():
-    cfg = canonical(2.0, S3, 2.6, 2.6)
-    ov = objective(cfg, Point2(0.7, -0.3))
-    assert abs(sum(ov.per_term) - ov.value) < 1e-12 * (1.0 + abs(ov.value))
-    assert all(t >= 0.0 for t in ov.per_term)
 
 
 def test_objective_fixed_values():
     # three-way tie point of the r=2 equilateral with all ranges 2.6
     cfg = canonical(2.0, S3, 2.6, 2.6)
-    assert abs(objective(cfg, Point2(0, 2.4)).value - 6.3138) < 1e-3
+    assert abs(objective_value(cfg, Point2(0, 2.4)) - 6.3138) < 1e-3
     # a noiseless instance vanishes at its source
     src = Point2(0.3, 0.9)
     zs = (Point2(-1, 0), Point2(1, 0), Point2(0, S3))
@@ -56,52 +40,76 @@ def test_reflection_symmetry(x, y):
 
 
 class TestClassifyPoint:
+    """Closed-disk membership, as the general scan gates Y0..Y3 with it."""
+
     def test_center_and_boundary_are_inside(self):
         cfg = canonical(2.0, S3, 2.6, 2.6)
-        assert classify_point(cfg, cfg.Z[0]).bits[0] == 1
-        assert classify_point(cfg, Point2(-1 + 2.6, 0)).bits[0] == 1
+        assert _in_region(cfg, cfg.Z[0], (1, 1, 1), 0.0)
+        assert _in_region(cfg, Point2(-1 + 2.6, 0), (1, 1, 1), 0.0)
 
     def test_centroid_inside_all(self):
         cfg = canonical(2.0, S3, 2.6, 2.6)
-        assert classify_point(cfg, Point2(0, S3 / 3)).bits == (1, 1, 1)
+        assert _in_region(cfg, Point2(0, S3 / 3), (1, 1, 1), 0.0)
+        assert not _in_region(cfg, Point2(0, S3 / 3), (0, 0, 0), 0.0)
 
     @given(x=coords, y=coords)
     def test_bits_match_distances(self, x, y):
         cfg = canonical(2.0, 1.4, 1.7, 2.1)
         w = Point2(x, y)
-        bits = classify_point(cfg, w).bits
-        for bit, z, dj in zip(bits, cfg.Z, cfg.d):
-            assert bit == (1 if distance(w, z) <= dj else 0)
+        dists = [distance(w, z) for z in cfg.Z]
+        bits = tuple(1 if dist <= dj else 0 for dist, dj in zip(dists, cfg.d))
+        assert _in_region(cfg, w, bits, 0.0)
+        for j in range(3):
+            if dists[j] != cfg.d[j]:
+                flipped = bits[:j] + (1 - bits[j],) + bits[j + 1:]
+                assert not _in_region(cfg, w, flipped, 0.0)
 
     def test_tolerance_widens_membership(self):
         cfg = canonical(2.0, S3, 1.0, 1.0)
         just_outside = Point2(-1 + 1.0 + 1e-7, 0)
-        assert classify_point(cfg, just_outside).bits[0] == 0
-        assert classify_point(cfg, just_outside, tol=1e-6).bits[0] == 1
+        assert not _in_region(cfg, just_outside, (1, 1, 0), 0.0)
+        assert _in_region(cfg, just_outside, (1, 1, 0), 1e-6)
+
+
+def _quadratic_constant(config: SensorConfig) -> float:
+    """C0 in O(W) = 3*|W - Y0|^2 + C0, which holds outside every disk."""
+    y0 = centroid_points(*config.Z)[0]
+    return (-3.0 * (y0.x ** 2 + y0.y ** 2)
+            - sum(dj * dj for dj in config.d)
+            + sum(z.x ** 2 + z.y ** 2 for z in config.Z))
+
+
+def _quadratic_form(config: SensorConfig, w: Point2) -> float:
+    y0 = centroid_points(*config.Z)[0]
+    return 3.0 * ((w.x - y0.x) ** 2 + (w.y - y0.y) ** 2) + _quadratic_constant(config)
 
 
 class TestQuadraticForm:
+    """Outside all disks O is the quadratic 3*|W - Y0|^2 + C0, which is why
+    Y0 is the general scan's only candidate from that region."""
+
     def test_identity_far_out(self):
         cfg = canonical(2.0, S3, 2.6, 2.6)
         w = Point2(40.0, -25.0)
-        q = quadratic_form_check(cfg, w)
+        q = _quadratic_form(cfg, w)
         assert abs(q - objective_value(cfg, w)) <= 1e-9 * abs(q)
 
     def test_identity_at_moderate_radius(self):
         cfg = canonical(2.0, S3, 1.0, 1.0)
         w = Point2(10, 10)
-        assert abs(quadratic_form_check(cfg, w) - objective_value(cfg, w)) < 1e-6
+        assert abs(_quadratic_form(cfg, w) - objective_value(cfg, w)) < 1e-6
 
     def test_mirror_value_at_centroid(self):
         # with every disk containing Y0 the sum flips sign relative to C0
         cfg = canonical(2.0, S3, 2.6, 2.6)
         y0 = centroid_points(*cfg.Z)[0]
-        assert abs(objective_value(cfg, y0) + quadratic_constant(cfg)) < 1e-9
+        assert abs(objective_value(cfg, y0) + _quadratic_constant(cfg)) < 1e-9
 
     def test_rejects_point_inside_a_disk(self):
+        # inside a disk the form no longer holds: it falls below O there
         cfg = canonical(2.0, S3, 2.6, 2.6)
-        with pytest.raises(PreconditionViolation):
-            quadratic_form_check(cfg, centroid_points(*cfg.Z)[0])
+        y0 = centroid_points(*cfg.Z)[0]
+        assert _quadratic_form(cfg, y0) < objective_value(cfg, y0) - 1.0
 
     @given(x=st.floats(-60, 60), y=st.floats(-60, 60))
     @settings(max_examples=150)
@@ -110,99 +118,5 @@ class TestQuadraticForm:
         w = Point2(x, y)
         assume(all(distance(w, z) > dj * (1 + 1e-9) + 1e-9
                    for z, dj in zip(cfg.Z, cfg.d)))
-        q = quadratic_form_check(cfg, w)
+        q = _quadratic_form(cfg, w)
         assert abs(q - objective_value(cfg, w)) <= 1e-8 * (1.0 + abs(q))
-
-
-class TestRegionTopology:
-    def test_equilateral_all_nonempty_connected(self):
-        topo = region_topology(canonical(2.0, S3, 2.6, 2.6))
-        assert all(topo.nonempty.values())
-        assert all(topo.connected.values())
-
-    def test_disjoint_base_disks(self):
-        topo = region_topology(canonical(2.0, 1.0, 0.5, 0.5 + 0.7))
-        assert not topo.nonempty[(1, 1, 0)]
-        assert not topo.nonempty[(1, 1, 1)]
-
-    def test_superset_disk(self):
-        # disk 3 swallows the other two: nothing is inside 1 or 2 only
-        topo = region_topology(canonical(2.0, 1.0, 1.0, 12.0))
-        assert not topo.nonempty[(1, 0, 0)]
-        assert not topo.nonempty[(0, 1, 0)]
-
-    def test_grid_union_find_agreement(self):
-        """Arrangement topology matches a labeled-grid oracle.
-
-        The grid cannot certify sub-cell structure, so components below
-        16 px are ignored and a disconnection verdict is only trusted when
-        the surviving components are more than 4 cells apart.
-        """
-        rng = random.Random(314)
-        resolved = disagreements = 0
-        eight = np.ones((3, 3), dtype=int)
-        for _ in range(100):
-            zs = [Point2(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                  for _ in range(3)]
-            d = tuple(rng.uniform(0.4, 4.5) for _ in range(3))
-            near_tangent = False
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    cen = distance(zs[i], zs[j])
-                    if (abs(cen - (d[i] + d[j])) < 2e-2
-                            or abs(cen - abs(d[i] - d[j])) < 2e-2
-                            or cen < 1e-2):
-                        near_tangent = True
-            if near_tangent:
-                continue
-            cfg = SensorConfig(tuple(zs), d)
-            try:
-                topo = region_topology(cfg)
-            except (DegenerateArrangement, ConcentricIdentical):
-                continue
-            n = 600
-            xmin = min(z.x - dj for z, dj in zip(zs, d)) - 0.3
-            xmax = max(z.x + dj for z, dj in zip(zs, d)) + 0.3
-            ymin = min(z.y - dj for z, dj in zip(zs, d)) - 0.3
-            ymax = max(z.y + dj for z, dj in zip(zs, d)) + 0.3
-            gx = np.linspace(xmin, xmax, n)
-            gy = np.linspace(ymin, ymax, n)
-            X, Y = np.meshgrid(gx, gy, indexing="ij")
-            code = np.zeros(X.shape, dtype=np.int8)
-            for k, (z, dj) in enumerate(zip(zs, d)):
-                inside = (X - z.x) ** 2 + (Y - z.y) ** 2 <= dj * dj
-                code += inside.astype(np.int8) << k
-            for bits in topo.nonempty:
-                want = bits[0] | (bits[1] << 1) | (bits[2] << 2)
-                mask = code == want
-                area = int(mask.sum())
-                if 0 < area < 16:
-                    continue
-                lab, ncomp = ndimage.label(mask, structure=eight)
-                sizes = (ndimage.sum(mask, lab, range(1, ncomp + 1))
-                         if ncomp else [])
-                real = [c + 1 for c, sz in enumerate(sizes) if sz >= 16]
-                if topo.nonempty[bits] != (len(real) > 0):
-                    disagreements += 1
-                    continue
-                if not real:
-                    resolved += 1
-                    continue
-                if len(real) == 1:
-                    grid_conn = True
-                else:
-                    gap_small = False
-                    for ai in range(len(real)):
-                        dist = ndimage.distance_transform_edt(lab != real[ai])
-                        for bi in range(ai + 1, len(real)):
-                            if dist[lab == real[bi]].min() <= 4.0:
-                                gap_small = True
-                    if gap_small:
-                        continue
-                    grid_conn = False
-                if topo.connected[bits] != grid_conn:
-                    disagreements += 1
-                else:
-                    resolved += 1
-        assert disagreements == 0
-        assert resolved > 500  # the skip rules must not eat the comparison

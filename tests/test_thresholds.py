@@ -7,7 +7,7 @@ import pytest
 from conftest import S3, canonical, rel
 from trilat import thresholds as th
 from trilat.errors import NoBracket, PreconditionViolation
-from trilat.geometry import Point2, SensorConfig, circle_circle_intersect
+from trilat.geometry import circle_circle_intersect
 from trilat.regions import objective_value
 
 
@@ -26,7 +26,7 @@ def _s_points(cfg):
 # --- base-pair crossover d3_0 ----------------------------------------------
 
 def test_d3_zero_value():
-    assert abs(th.d3_zero(canonical(2.0, S3, 4.0, 1.0)) - math.sqrt(18)) < 1e-12
+    assert abs(th.compute_bundle(2.0, S3, 4.0, 1.0).d3_0 - math.sqrt(18)) < 1e-12
 
 
 def test_d3_zero_equality_at_threshold():
@@ -43,13 +43,6 @@ def test_d3_zero_orders_the_pair_below_threshold():
     assert objective_value(cfg, sp["S12+"]) < objective_value(cfg, sp["S12-"])
 
 
-def test_d3_zero_requires_isosceles():
-    bad = SensorConfig((Point2(0, 0), Point2(2, 0), Point2(1.5, 2.0)),
-                       (1.0, 1.2, 1.0))
-    with pytest.raises(PreconditionViolation):
-        th.d3_zero(bad)
-
-
 # --- apex-pair crossover d1_0 ----------------------------------------------
 
 def test_d1_zero_at_the_four_equal_locus():
@@ -58,7 +51,8 @@ def test_d1_zero_at_the_four_equal_locus():
     a = objective_value(cfg, sp["S23+"])
     b = objective_value(cfg, sp["S23-"])
     assert abs(a - b) < 1e-9 * 24
-    assert abs(th.d1_zero(cfg) - math.sqrt(50)) < 1e-9
+    assert abs(th.compute_bundle(2.0, 3.0, math.sqrt(50), math.sqrt(40)).d1_0
+               - math.sqrt(50)) < 1e-9
 
 
 def test_d1_zero_comparator_direction():
