@@ -97,9 +97,12 @@ def _argmin_set(config: SensorConfig,
 # case tables for the symmetric instance, canonical frame
 #
 # A block covers an interval of d1; its rows cover intervals of d3 and name
-# the minimizing symbols.  Interval ends are (value, closed?) pairs; rows at
-# a shared endpoint are both consulted and the objective breaks the tie.
-# Blocks depend on d1 alone, so each d1 row of a sweep builds them once.
+# the minimizing symbols.  Interval ends are (value, closed?) pairs; rows
+# closed at a shared endpoint both match there and name the candidates that
+# tie on it.  Where two symbols name one point (N3 = Y0 at d3 = 2s/3, N3 = Y3
+# at d3 = 2s) only the row that comes first is closed, so the symbols of the
+# matched rows count the minimizers.  Blocks depend on d1 alone, so each d1
+# row of a sweep builds them once.
 
 Row = Tuple[float, bool, float, bool, Tuple[str, ...], str]
 Block = Tuple[float, bool, float, bool, Tuple[Row, ...], str]
@@ -129,22 +132,22 @@ def _equilateral_blocks(r: float, d1: float) -> Tuple[Block, ...]:
     blocks: List[Block] = []
     blocks.append((0.0, True, r / 2.0, True, (
         _row(0.0, False, low, True, ("Y0",), "E1.1"),
-        _row(low, True, top, True, ("N3",), "E1.2"),
-        _row(top, True, _INF, False, ("Y3",), "E1.3"),
+        _row(low, False, top, True, ("N3",), "E1.2"),
+        _row(top, False, _INF, False, ("Y3",), "E1.3"),
     ), "E1"))
     blocks.append((r / 2.0, False, low, True, (
         _row(0.0, False, low, True, ("Y0",), "E2.1"),
-        _row(low, True, s - h, True, ("N3",), "E2.2"),
+        _row(low, False, s - h, True, ("N3",), "E2.2"),
         _row(s - h, False, s + h, False, pair, "E2.3"),
         _row(s + h, True, top, True, ("N3",), "E2.4"),
-        _row(top, True, _INF, False, ("Y3",), "E2.5"),
+        _row(top, False, _INF, False, ("Y3",), "E2.5"),
     ), "E2"))
     blocks.append((low, False, r, True, (
         _row(0.0, False, d1, False, ("S12plus",), "E3.1"),
         _row(d1, True, d1, True, ("S12plus",) + pair, "E3.2"),
         _row(d1, False, s + h, False, pair, "E3.3"),
         _row(s + h, True, top, True, ("N3",), "E3.4"),
-        _row(top, True, _INF, False, ("Y3",), "E3.5"),
+        _row(top, False, _INF, False, ("Y3",), "E3.5"),
     ), "E3"))
     m = math.sqrt(d1 * d1 + 2.0 * r * r)
     blocks.append((r, False, _INF, False, (
@@ -170,15 +173,15 @@ def _isosceles_blocks(r: float, s: float, d1: float,
     blocks: List[Block] = []
     blocks.append((0.0, True, r / 2.0, True, (
         _row(0.0, False, low, True, ("Y0",), "1.1"),
-        _row(low, True, top, True, ("N3",), "1.2"),
-        _row(top, True, _INF, False, ("Y3",), "1.3"),
+        _row(low, False, top, True, ("N3",), "1.2"),
+        _row(top, False, _INF, False, ("Y3",), "1.3"),
     ), "1"))
     blocks.append((r / 2.0, False, a, True, (
         _row(0.0, False, low, True, ("Y0",), "2.1"),
-        _row(low, True, s - h, True, ("N3",), "2.2"),
+        _row(low, False, s - h, True, ("N3",), "2.2"),
         _row(s - h, False, s + h, False, pair, "2.3"),
         _row(s + h, True, top, True, ("N3",), "2.4"),
-        _row(top, True, _INF, False, ("Y3",), "2.5"),
+        _row(top, False, _INF, False, ("Y3",), "2.5"),
     ), "2"))
     big_r = row.R if d1 > r / 2.0 else 0.0
     blocks.append((a, False, b, True, (
@@ -186,7 +189,7 @@ def _isosceles_blocks(r: float, s: float, d1: float,
         _row(big_r, True, big_r, True, ("S12plus",) + pair, "3.2"),
         _row(big_r, False, s + h, False, pair, "3.3"),
         _row(s + h, True, top, True, ("N3",), "3.4"),
-        _row(top, True, _INF, False, ("Y3",), "3.5"),
+        _row(top, False, _INF, False, ("Y3",), "3.5"),
     ), "3"))
 
     p_cut = row.P_flat if regime == "flat" else row.P
@@ -242,10 +245,12 @@ def _isosceles_blocks(r: float, s: float, d1: float,
     return tuple(blocks)
 
 
-def _solve_from_blocks(r: float, s: float, d1: float, d3: float,
-                       blocks: Sequence[Block], family: str,
-                       tol: float) -> SolutionSet:
-    eps = tol * (1.0 + r + s + d1 + abs(d3))
+def _matched_rows(r: float, s: float, d1: float, d3: float,
+                  blocks: Sequence[Block], family: str,
+                  tol: float) -> Tuple[List[str], str]:
+    """Symbols of the rows that contain (d1, d3), in table order, and the
+    derivation naming those rows."""
+    eps = tol * (r + s + d1 + abs(d3))
     symbols: List[str] = []
     row_ids: List[str] = []
     for lo, lo_c, hi, hi_c, rows, _bid in blocks:
@@ -259,6 +264,16 @@ def _solve_from_blocks(r: float, s: float, d1: float, d3: float,
                 for sym in syms:
                     if sym not in symbols:
                         symbols.append(sym)
+    if not symbols:
+        raise MissingIntersection(
+            f"no table row matches d1={d1!r}, d3={d3!r}")
+    return symbols, f"{family}:{'+'.join(row_ids)}"
+
+
+def _solve_from_blocks(r: float, s: float, d1: float, d3: float,
+                       blocks: Sequence[Block], family: str,
+                       tol: float) -> SolutionSet:
+    symbols, derivation = _matched_rows(r, s, d1, d3, blocks, family, tol)
     config = SensorConfig.from_canonical(r, s, (d1, d1, d3))
     candidates = [c for c in (_materialize(config, sym) for sym in symbols)
                   if c is not None]
@@ -267,7 +282,6 @@ def _solve_from_blocks(r: float, s: float, d1: float, d3: float,
             f"no table row yields a candidate at d1={d1!r}, d3={d3!r}")
     pos_eps = REL_TIE * (1.0 + config_scale(config))
     winners, vmin = _argmin_set(config, candidates, pos_eps)
-    derivation = f"{family}:{'+'.join(row_ids)}"
     return SolutionSet(tuple(winners), vmin, len(winners), derivation,
                        _near_threshold(r, s, d1, d3))
 
@@ -291,33 +305,51 @@ def _near_threshold(r: float, s: float, d1: float,
     return tuple(out)
 
 
-def solve_equilateral(r: float, d1: float, d3: float,
-                      tol: float = 1e-9) -> SolutionSet:
-    """Minimizer set for the equal-sided sensor layout with ranges (d1, d1, d3)."""
-    if r <= 0.0 or d1 < 0.0 or d3 < 0.0:
-        raise PreconditionViolation("need r > 0 and nonnegative ranges")
-    s = SQRT3_2 * r
-    _require_usable_scale(max(r, math.hypot(r / 2.0, s)) + max(d1, d3))
-    return _solve_from_blocks(r, s, d1, d3, _equilateral_blocks(r, d1),
-                              "equilateral", tol)
-
-
-def solve_isosceles(r: float, s: float, d1: float, d3: float,
-                    tol: float = 1e-9) -> SolutionSet:
-    """Minimizer set for base r, apex height s, ranges (d1, d1, d3).
+def _tables(r: float, s: float, d1: float, d3: float,
+            tol: float) -> Tuple[float, Tuple[Block, ...], str]:
+    """Apex height, case tables and family name for one cell.
 
     Within tolerance of the equilateral height the dedicated equal-sided
-    tables are used instead.
+    tables are used, at that height exactly.
     """
     if r <= 0.0 or s <= 0.0 or d1 < 0.0 or d3 < 0.0:
         raise PreconditionViolation("need r, s > 0 and nonnegative ranges")
     t3 = SQRT3_2 * r
-    if abs(s - t3) <= tol * r:
-        return solve_equilateral(r, d1, d3, tol)
+    equilateral = abs(s - t3) <= tol * r
+    if equilateral:
+        s = t3
     _require_usable_scale(max(r, math.hypot(r / 2.0, s)) + max(d1, d3))
+    if equilateral:
+        return s, _equilateral_blocks(r, d1), "equilateral"
     regime = "flat" if s < t3 else "sharp"
-    return _solve_from_blocks(r, s, d1, d3, _isosceles_blocks(r, s, d1, regime),
-                              f"isosceles-{regime}", tol)
+    return s, _isosceles_blocks(r, s, d1, regime), f"isosceles-{regime}"
+
+
+def solve_equilateral(r: float, d1: float, d3: float,
+                      tol: float = 1e-9) -> SolutionSet:
+    """Minimizer set for the equal-sided sensor layout with ranges (d1, d1, d3)."""
+    return solve_isosceles(r, SQRT3_2 * r, d1, d3, tol)
+
+
+def solve_isosceles(r: float, s: float, d1: float, d3: float,
+                    tol: float = 1e-9) -> SolutionSet:
+    """Minimizer set for base r, apex height s, ranges (d1, d1, d3)."""
+    s, blocks, family = _tables(r, s, d1, d3, tol)
+    return _solve_from_blocks(r, s, d1, d3, blocks, family, tol)
+
+
+def table_multiplicity(r: float, s: float, d1: float, d3: float,
+                       tol: float = 1e-9) -> Tuple[int, str]:
+    """Multiplicity and derivation of ``solve_isosceles``, without points.
+
+    Each matched row names tied minimizers only, and no two symbols name the
+    same point, so the count of distinct symbols is the multiplicity.  Off a
+    tie locus but inside the rows' eps band of it, the objective's tie cut
+    can keep fewer; ``multiplicity_conditions`` counts as the rows do.
+    """
+    s, blocks, family = _tables(r, s, d1, d3, tol)
+    symbols, derivation = _matched_rows(r, s, d1, d3, blocks, family, tol)
+    return len(symbols), derivation
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +439,20 @@ def _in_region(config: SensorConfig, p: Point2, bits: Tuple[int, ...],
 
 
 def _radial_candidates(config: SensorConfig, eps: float) -> List[CandidatePoint]:
-    """Nearest/farthest points of each circle from each quadratic center."""
+    """Nearest/farthest points of each circle from each quadratic center.
+
+    Yj - Zj = 3 (Y0 - Zj) and Ym - Zj = -(Yn - Zj), so circle j has two
+    directions: towards Y0 and towards the first other reflection.
+    """
     out: List[CandidatePoint] = []
     anchors = centroid_points(*config.Z)
-    for anchor in anchors:
-        for z, d in zip(config.Z, config.d):
+    for a, anchor in enumerate(anchors):
+        for j, (z, d) in enumerate(zip(config.Z, config.d)):
+            if a not in (0, 2 if j == 0 else 1):
+                continue
             if d <= 0.0:
-                out.append(CandidatePoint(z, "RegionProjection"))
+                if a == 0:
+                    out.append(CandidatePoint(z, "RegionProjection"))
                 continue
             norm = distance(anchor, z)
             if norm <= eps:

@@ -342,13 +342,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     buf, writer = _csv_buffer()
     writer.writerow(["d1", "d3", "multiplicity", "derivation"])
     # Row by row: the d1-only thresholds and case tables are built once per
-    # row and reused for each of its d3 cells.
+    # row and reused for each of its d3 cells, which read the matched rows
+    # alone and materialize no points.
     for d1 in d1s:
         for d3 in d3s:
-            solution = classifier.solve_isosceles(args.r, args.s, d1, d3,
-                                                  tol=args.tol)
-            writer.writerow([f"{d1:.10g}", f"{d3:.10g}",
-                             solution.multiplicity, solution.derivation])
+            count, derivation = classifier.table_multiplicity(
+                args.r, args.s, d1, d3, tol=args.tol)
+            writer.writerow([f"{d1:.10g}", f"{d3:.10g}", count, derivation])
     _emit(buf.getvalue())
     return 0
 
@@ -432,7 +432,9 @@ def _add_common(parser: argparse.ArgumentParser,
     group.add_argument("--csv", action="store_true")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="trilat",
         description="exact minimizer sets for three-sensor ranging")

@@ -173,13 +173,8 @@ def _locus_cells(r, s, d1s):
                 yield d1, d3
 
 
-def test_tables_name_a_row_on_every_locus_cell():
-    """Cells placed exactly on the table breakpoints still match a row.
-
-    A gap in the case tables raises MissingIntersection here instead of
-    passing silently.
-    """
-    r = 2.0
+def _locus_rows(r):
+    """(s, d1s): d1 on every block edge and at seeded values, for six s."""
     rng = random.Random(99)
     for s in (1.0, 3.0, S3, *(rng.uniform(0.2, 4.0) for _ in range(3))):
         a = math.sqrt(r * r / 4.0 + s * s / 9.0)
@@ -190,11 +185,81 @@ def test_tables_name_a_row_on_every_locus_cell():
                  else thresholds.threshold_P_flat(r, s))
             d1s.append(p)
         d1s += [rng.uniform(0.05, 12.0) for _ in range(120)]
+        yield s, d1s
+
+
+def test_tables_name_a_row_on_every_locus_cell():
+    """Cells placed exactly on the table breakpoints still match a row.
+
+    A gap in the case tables raises MissingIntersection here instead of
+    passing silently.
+    """
+    r = 2.0
+    for s, d1s in _locus_rows(r):
         for d1, d3 in _locus_cells(r, s, d1s):
             sol = solve_isosceles(r, s, d1, d3)
             assert sol.points, (s, d1, d3)
             _, _, row_ids = sol.derivation.partition(":")
             assert row_ids and all(row_ids.split("+")), (s, d1, d3)
+
+
+def _table_cells(r):
+    """Locus cells, cells within a few eps of d3 = 2s/3 and 2s, and seeded
+    cells."""
+    for s, d1s in _locus_rows(r):
+        for d1, d3 in _locus_cells(r, s, d1s):
+            yield s, d1, d3
+        for d1 in d1s:
+            for edge in (2.0 * s / 3.0, 2.0 * s):
+                eps = 1e-9 * (r + s + d1 + edge)
+                for k in (0.0, 0.3, 0.9, 1.5, 3.0):
+                    for d3 in {edge - k * eps, edge + k * eps}:
+                        yield s, d1, d3
+    rng = random.Random(31)
+    for s in (1.0, 3.0, S3, 0.5, 1.7):
+        for _ in range(600):
+            yield s, rng.uniform(0.05, 12.0), rng.uniform(0.0, 12.0)
+
+
+# Cells inside the tables' eps band of a tie but off the tie itself, where
+# solve_isosceles's objective cut or dedup radius drops a tied symbol and
+# the closed-form conditions side with the tables: d3 = d1 lies 2.1e-9
+# below R (relative gap 2e-9 against a cut of 1e-9), and at d1 = a the two
+# leg '+' points 6.8e-9 above 2s/3 are 4e-9 apart, inside the dedup radius.
+_BAND_CELLS = {
+    (1.7351166847859318, 2.0, 2.0): ((3, "isosceles-sharp:3.2"), 1),
+    (0.8794488182291267, 1.0420828621288876, 0.5862992189144975):
+        ((2, "isosceles-flat:2.3"), 1),
+}
+
+
+def test_table_multiplicity_matches_solve():
+    """The matched rows count the minimizers that solve_isosceles keeps."""
+    r = 2.0
+    n = 0
+    apart = {}
+    for s, d1, d3 in _table_cells(r):
+        sol = solve_isosceles(r, s, d1, d3)
+        got = classifier.table_multiplicity(r, s, d1, d3)
+        if got != (sol.multiplicity, sol.derivation):
+            apart[(s, d1, d3)] = (got, sol.multiplicity)
+            assert got[1] == sol.derivation
+            assert multiplicity_conditions(r, s, d1, d3)[0] == got[0]
+        n += 1
+    assert n > 20000
+    assert apart == _BAND_CELLS
+
+
+def test_tables_close_one_row_where_symbols_coincide():
+    """At d3 = 2s/3 (N3 = Y0) and d3 = 2s (N3 = Y3) one row matches."""
+    r, s = 2.0, 3.0
+    for d1, block in ((0.5, "1"), (1.05, "2")):
+        assert classifier.table_multiplicity(r, s, d1, 2.0) == (
+            1, f"isosceles-sharp:{block}.1")
+    assert classifier.table_multiplicity(r, s, 0.5, 6.0) == (
+        1, "isosceles-sharp:1.2")
+    sol = solve_isosceles(r, s, 0.5, 6.0)
+    assert [c.role for c in sol.points] == ["N3"]
 
 
 def test_solve_from_blocks_without_a_candidate_raises():

@@ -15,7 +15,8 @@ from scipy import ndimage
 import trilat
 from conftest import MAP_WINDOWS, S3, sweep_axes
 from trilat.classifier import solve_isosceles
-from trilat.cli import main, parse_instance, reconstruct_four_equal
+from trilat.cli import (build_parser, main, parse_instance,
+                        reconstruct_four_equal)
 
 FIVE_WAY_EXACT = {
     "r": 2.0, "s": 3.0,
@@ -359,6 +360,51 @@ def test_sweep_matches_cell_by_cell_solves(capsys, name):
             rebuilt.append(f"{d1:.10g},{d3:.10g},{sol.multiplicity},"
                            f"{sol.derivation}")
     assert out.splitlines() == rebuilt
+
+
+@pytest.mark.parametrize("name", sorted(MAP_WINDOWS))
+def test_sweep_columns_do_not_depend_on_scale(capsys, name):
+    """Scaling r, s and the window by 2^k, which every threshold follows
+    exactly, leaves the multiplicity and derivation columns as they are."""
+    r, s, (lo1, hi1), (lo3, hi3) = MAP_WINDOWS[name]
+
+    def columns(k):
+        f = 2.0 ** k
+        rc, out, _ = run(capsys, [
+            "sweep", "--r", repr(r * f), "--s", repr(s * f),
+            "--d1", repr(lo1 * f), repr(hi1 * f),
+            "--d3", repr(lo3 * f), repr(hi3 * f), "--steps", "40"])
+        assert rc == 0, k
+        return [line.split(",")[2:] for line in out.splitlines()[1:]]
+
+    base = columns(0)
+    for k in (-40, -20, 20, 60):
+        assert columns(k) == base, k
+
+
+def test_repeated_main_calls_print_what_a_first_call_prints(tmp_path, capsys):
+    """The parser is built once; no call leaves state for the next."""
+    instance = write_instance(tmp_path, FIVE_WAY_EXACT)
+    calls = [
+        ["table", "--family", "equilateral", "--json"],
+        ["table", "--family", "equilateral"],
+        ["table", "--family", "four-equal", "--csv"],
+        ["sweep", "--r", "2", "--s", "3", "--d1", "5", "6", "--d3", "4", "5",
+         "--steps", "3", "--tol", "1e-6"],
+        ["sweep", "--r", "2", "--s", "3", "--d1", "5", "6", "--d3", "4", "5",
+         "--steps", "3"],
+        ["sweep", "--r", "2", "--s", "3", "--d1", "6", "5", "--d3", "4", "5"],
+        ["solve", "--csv", instance],
+        ["solve", instance],
+        ["thresholds", instance],
+    ]
+    first = {}
+    for argv in calls:
+        build_parser.cache_clear()
+        first[tuple(argv)] = run(capsys, argv)
+    build_parser.cache_clear()
+    for argv in calls + calls[::-1]:
+        assert run(capsys, argv) == first[tuple(argv)], argv
 
 
 # --- contour ----------------------------------------------------------------
