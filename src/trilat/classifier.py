@@ -123,44 +123,6 @@ def _inside(v: float, lo: float, lo_c: bool, hi: float, hi_c: bool,
 
 
 @functools.lru_cache(maxsize=ROW_CACHE_SIZE)
-def _equilateral_blocks(r: float, d1: float) -> Tuple[Block, ...]:
-    s = SQRT3_2 * r
-    low = 2.0 * s / 3.0          # equals r/sqrt(3)
-    top = 2.0 * s
-    h = math.sqrt(max(d1 * d1 - r * r / 4.0, 0.0))
-    pair = ("S23plus", "S31plus")
-    blocks: List[Block] = []
-    blocks.append((0.0, True, r / 2.0, True, (
-        _row(0.0, False, low, True, ("Y0",), "E1.1"),
-        _row(low, False, top, True, ("N3",), "E1.2"),
-        _row(top, False, _INF, False, ("Y3",), "E1.3"),
-    ), "E1"))
-    blocks.append((r / 2.0, False, low, True, (
-        _row(0.0, False, low, True, ("Y0",), "E2.1"),
-        _row(low, False, s - h, True, ("N3",), "E2.2"),
-        _row(s - h, False, s + h, False, pair, "E2.3"),
-        _row(s + h, True, top, True, ("N3",), "E2.4"),
-        _row(top, False, _INF, False, ("Y3",), "E2.5"),
-    ), "E2"))
-    blocks.append((low, False, r, True, (
-        _row(0.0, False, d1, False, ("S12plus",), "E3.1"),
-        _row(d1, True, d1, True, ("S12plus",) + pair, "E3.2"),
-        _row(d1, False, s + h, False, pair, "E3.3"),
-        _row(s + h, True, top, True, ("N3",), "E3.4"),
-        _row(top, False, _INF, False, ("Y3",), "E3.5"),
-    ), "E3"))
-    m = math.sqrt(d1 * d1 + 2.0 * r * r)
-    blocks.append((r, False, _INF, False, (
-        _row(0.0, False, d1, False, ("S12plus",), "E4.1"),
-        _row(d1, True, d1, True, ("S12plus",) + pair, "E4.2"),
-        _row(d1, False, m, False, pair, "E4.3"),
-        _row(m, True, m, True, pair + ("S12minus",), "E4.4"),
-        _row(m, False, _INF, False, ("S12minus",), "E4.5"),
-    ), "E4"))
-    return tuple(blocks)
-
-
-@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
 def _isosceles_blocks(r: float, s: float, d1: float,
                       regime: str) -> Tuple[Block, ...]:
     low = 2.0 * s / 3.0
@@ -309,8 +271,9 @@ def _tables(r: float, s: float, d1: float, d3: float,
             tol: float) -> Tuple[float, Tuple[Block, ...], str]:
     """Apex height, case tables and family name for one cell.
 
-    Within tolerance of the equilateral height the dedicated equal-sided
-    tables are used, at that height exactly.
+    Within tolerance of the equilateral height the apex snaps to it exactly,
+    where the tall-apex tables hold with no P, R = d1 and
+    M = sqrt(d1^2 + 2 r^2).
     """
     if r <= 0.0 or s <= 0.0 or d1 < 0.0 or d3 < 0.0:
         raise PreconditionViolation("need r, s > 0 and nonnegative ranges")
@@ -319,16 +282,9 @@ def _tables(r: float, s: float, d1: float, d3: float,
     if equilateral:
         s = t3
     _require_usable_scale(max(r, math.hypot(r / 2.0, s)) + max(d1, d3))
-    if equilateral:
-        return s, _equilateral_blocks(r, d1), "equilateral"
     regime = "flat" if s < t3 else "sharp"
-    return s, _isosceles_blocks(r, s, d1, regime), f"isosceles-{regime}"
-
-
-def solve_equilateral(r: float, d1: float, d3: float,
-                      tol: float = 1e-9) -> SolutionSet:
-    """Minimizer set for the equal-sided sensor layout with ranges (d1, d1, d3)."""
-    return solve_isosceles(r, SQRT3_2 * r, d1, d3, tol)
+    family = "equilateral" if equilateral else f"isosceles-{regime}"
+    return s, _isosceles_blocks(r, s, d1, regime), family
 
 
 def solve_isosceles(r: float, s: float, d1: float, d3: float,
@@ -524,14 +480,14 @@ def _remap_role(role: Role, perm: Tuple[int, int, int]) -> Role:
 
 def solve(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
     """Route to the symmetric tables when a relabeling fits, else scan."""
-    _require_usable_scale(config_scale(config))
-    canonical_frame(*config.Z, tol=tol)
-    scale = 1.0 + config_scale(config)
+    length = config_scale(config)
+    _require_usable_scale(length)
+    scale = 1.0 + length
     for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         z = tuple(config.Z[i] for i in perm)
         d = tuple(config.d[i] for i in perm)
         sub = canonical_frame(*z, tol=tol)
-        if sub.shape == "General" or abs(d[0] - d[1]) > tol * scale:
+        if not sub.isosceles or abs(d[0] - d[1]) > tol * scale:
             continue
         d1 = (d[0] + d[1]) / 2.0
         sol = solve_isosceles(sub.r, sub.s, d1, d[2], tol=tol)

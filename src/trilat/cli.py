@@ -369,9 +369,9 @@ def cmd_contour(args: argparse.Namespace) -> int:
 def cmd_thresholds(args: argparse.Namespace) -> int:
     config = _load_instance(args.instance, args.seed)
     thresholds._require_usable_scale(config_scale(config))
-    frame = canonical_frame(*config.Z)
+    frame = canonical_frame(*config.Z, tol=args.tol)
     scale = 1.0 + frame.r + frame.s + max(config.d)
-    if frame.shape == "General":
+    if not frame.isosceles:
         raise PreconditionViolation("thresholds need an isosceles layout")
     if abs(config.d[0] - config.d[1]) > args.tol * scale:
         raise PreconditionViolation("thresholds need equal base ranges")
@@ -419,29 +419,29 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_common(parser: argparse.ArgumentParser,
-                instance: bool = True) -> None:
-    if instance:
-        parser.add_argument("instance",
-                            help="path to a JSON instance file, or - for stdin")
-    parser.add_argument("--tol", type=float, default=1e-9)
+def _add_instance(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("instance",
+                        help="path to a JSON instance file, or - for stdin")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the generator seed")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true")
-    group.add_argument("--csv", action="store_true")
 
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: parsing leaves no state on it."""
+    """The argument parser, built once: parsing leaves no state on it.
+
+    Each subcommand declares only the options it reads.
+    """
     parser = argparse.ArgumentParser(
         prog="trilat",
         description="exact minimizer sets for three-sensor ranging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="classify one instance")
-    _add_common(p)
+    _add_instance(p)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--csv", action="store_true",
+                   help="x,y,role rows instead of the JSON report")
     p.add_argument("--oracle-check", action="store_true",
                    help="verify against the grid oracle")
     p.set_defaults(func=cmd_solve)
@@ -450,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family",
                    choices=("equilateral", "isosceles", "four-equal"),
                    required=True)
-    _add_common(p, instance=False)
+    p.add_argument("--json", action="store_true",
+                   help="a JSON report instead of CSV")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("sweep", help="multiplicity map over a (d1, d3) window")
@@ -461,20 +462,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d3", type=float, nargs=2, required=True,
                    metavar=("LO", "HI"))
     p.add_argument("--steps", type=int, default=100)
-    _add_common(p, instance=False)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("contour", help="objective samples on a grid")
-    _add_common(p)
+    _add_instance(p)
     p.add_argument("--resolution", type=int, default=256)
     p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("thresholds", help="threshold bundle for an instance")
-    _add_common(p)
+    _add_instance(p)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("oracle", help="brute-force minimization")
-    _add_common(p)
+    _add_instance(p)
     p.add_argument("--resolution", type=int, default=256)
     p.add_argument("--rounds", type=int, default=6)
     p.add_argument("--factor", type=float, default=4.0)

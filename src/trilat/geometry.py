@@ -9,12 +9,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (ConcentricIdentical, DegenerateDirection,
                      DegenerateTriangle, NoiseRejection)
-
-Shape = Literal["Equilateral", "IsoscelesFlat", "IsoscelesSharp", "General"]
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -228,7 +226,7 @@ class CanonicalFrame:
     transform: RigidMotion
     r: float
     s: float
-    shape: Shape
+    isosceles: bool  # apex on the base bisector
     apex: Point2  # frame coordinates of the third sensor
 
 
@@ -238,8 +236,8 @@ def canonical_frame(z1: Point2, z2: Point2, z3: Point2,
 
     The frame reflects if needed so the third sensor has nonnegative height;
     ``s`` is the distance from the third sensor to the base midpoint.  The
-    shape tag compares s against the equilateral height (sqrt(3)/2) * r with
-    relative tolerance ``tol``; off-axis apexes are tagged ``General``.
+    frame is ``isosceles`` when the apex lies within ``tol * r`` of the base
+    bisector.
     """
     r = distance(z1, z2)
     scale = r + distance(z1, z3) + distance(z2, z3)
@@ -255,15 +253,7 @@ def canonical_frame(z1: Point2, z2: Point2, z3: Point2,
     if ay <= tol * r:
         raise DegenerateTriangle("sensors are collinear within tolerance")
     s = math.hypot(ax, ay)
-    if abs(ax) <= tol * r:
-        if abs(s - SQRT3_2 * r) <= tol * r:
-            shape: Shape = "Equilateral"
-        elif s < SQRT3_2 * r:
-            shape = "IsoscelesFlat"
-        else:
-            shape = "IsoscelesSharp"
-    else:
-        shape = "General"
     tf = RigidMotion(ux, uy, vx, vy, ox, oy)
-    return CanonicalFrame(transform=tf, r=r, s=s, shape=shape, apex=Point2(ax, ay))
+    return CanonicalFrame(transform=tf, r=r, s=s, isosceles=abs(ax) <= tol * r,
+                          apex=Point2(ax, ay))
 

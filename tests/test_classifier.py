@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from conftest import MAP_WINDOWS, S3, canonical, rel, sweep_axes
 from trilat import classifier, thresholds
 from trilat.classifier import (multiplicity_conditions, solve,
-                               solve_equilateral, solve_general,
-                               solve_isosceles)
+                               solve_general, solve_isosceles)
 from trilat.errors import DegenerateTriangle, MissingIntersection
 from trilat.geometry import Point2, SensorConfig, config_scale, distance
 from trilat.regions import objective_table, objective_value
@@ -71,10 +70,10 @@ def test_general_matches_equilateral_row():
     assert sol.points[0].role == "S12minus"
 
 
-# --- equilateral table ------------------------------------------------------
+# --- equilateral height -----------------------------------------------------
 
 def test_equilateral_centroid_row():
-    sol = solve_equilateral(2.0, 1.0, 1.0)
+    sol = solve_isosceles(2.0, S3, 1.0, 1.0)
     assert sol.multiplicity == 1
     assert sol.points[0].role == "Y0"
     assert abs(sol.points[0].location.x) < 1e-12
@@ -82,18 +81,18 @@ def test_equilateral_centroid_row():
 
 
 def test_equilateral_single_plus_row():
-    sol = solve_equilateral(2.0, 2.6, 1.3)
+    sol = solve_isosceles(2.0, S3, 2.6, 1.3)
     assert sol.multiplicity == 1
     assert sol.points[0].role.startswith("S12")
 
 
 def test_equilateral_two_way_row():
-    sol = solve_equilateral(2.0, 4.0, 4.4495)
+    sol = solve_isosceles(2.0, S3, 4.0, 4.4495)
     assert sol.multiplicity == 2
 
 
 def test_equilateral_three_way_on_diagonal():
-    sol = solve_equilateral(2.0, 2.6, 2.6)
+    sol = solve_isosceles(2.0, S3, 2.6, 2.6)
     assert sol.multiplicity == 3
     roles = sorted(c.role for c in sol.points)
     assert roles == ["S12plus", "S23plus", "S31plus"]
@@ -102,7 +101,7 @@ def test_equilateral_three_way_on_diagonal():
 def test_equilateral_corner_collapses_to_centroid():
     # at d1 = d3 = r/sqrt(3) the three "+" points coincide with Y0
     d = 2.0 / S3
-    sol = solve_equilateral(2.0, d, d)
+    sol = solve_isosceles(2.0, S3, d, d)
     assert sol.multiplicity == 1
     assert sol.objective_value < 1e-9
 
@@ -128,10 +127,14 @@ def test_isosceles_beyond_star_two_way():
 
 
 def test_isosceles_delegates_to_equilateral_near_the_line():
-    # just off s = (sqrt(3)/2) r the flat/sharp tables must agree with the
-    # equilateral one; the shape-class rule snaps to it within tolerance
+    # just off s = (sqrt(3)/2) r the apex snaps to the equilateral height,
+    # where the tall-apex tables tie the three '+' points at d3 = d1
     sol = solve_isosceles(2.0, S3 + 1e-12, 2.6, 2.6)
     assert sol.multiplicity == 3
+    assert sol.derivation == "equilateral:4.2"   # d1 > b = r
+    sol = solve_isosceles(2.0, S3 + 1e-12, 1.8, 1.8)
+    assert sol.multiplicity == 3
+    assert sol.derivation == "equilateral:3.2"   # a < d1 <= b
 
 
 def test_isosceles_just_above_the_equilateral_height():
@@ -180,7 +183,7 @@ def _locus_rows(r):
         a = math.sqrt(r * r / 4.0 + s * s / 9.0)
         b = math.sqrt(r * r / 4.0 + s * s)
         d1s = [r / 2.0, a, b, r]
-        if s != S3 / 2.0 * r:  # the equal-sided tables have no P
+        if s != S3 / 2.0 * r:  # no P at the equilateral height
             p = (thresholds.threshold_P(r, s) if s > S3 / 2.0 * r
                  else thresholds.threshold_P_flat(r, s))
             d1s.append(p)
@@ -431,7 +434,6 @@ def test_multiplicity_cap_general(seed):
 def _clear_row_caches():
     thresholds.row_thresholds.cache_clear()
     classifier._isosceles_blocks.cache_clear()
-    classifier._equilateral_blocks.cache_clear()
 
 
 @pytest.mark.parametrize("name", sorted(MAP_WINDOWS))

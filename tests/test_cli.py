@@ -1,4 +1,5 @@
 """Command-line interface: schemas, exit codes, tables, sweeps, contours."""
+import argparse
 import io
 import json
 import math
@@ -306,6 +307,21 @@ def test_thresholds_reject_general_layout(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "PreconditionViolation"
 
 
+def test_thresholds_reads_tol_as_solve_does(tmp_path, capsys):
+    # apex 1e-7 r off the base bisector: isosceles under --tol 1e-6 only
+    obj = {"sensors": [[-1, 0], [1, 0], [2e-7, 3]], "d": [5.0, 5.0, 4.0]}
+    path = write_instance(tmp_path, obj)
+    rc, out, _ = run(capsys, ["solve", "--tol", "1e-6", path])
+    assert rc == 0
+    assert json.loads(out)["derivation"].startswith("isosceles-sharp:")
+    rc, out, _ = run(capsys, ["thresholds", "--tol", "1e-6", path])
+    assert rc == 0
+    assert json.loads(out)["d1"] == 5.0
+    rc, _, err = run(capsys, ["thresholds", path])
+    assert rc == 2
+    assert json.loads(err)["error"]["code"] == "PreconditionViolation"
+
+
 # --- oracle command ---------------------------------------------------------
 
 def test_oracle_command_five_way(tmp_path, capsys):
@@ -388,7 +404,7 @@ def test_repeated_main_calls_print_what_a_first_call_prints(tmp_path, capsys):
     calls = [
         ["table", "--family", "equilateral", "--json"],
         ["table", "--family", "equilateral"],
-        ["table", "--family", "four-equal", "--csv"],
+        ["table", "--family", "four-equal"],
         ["sweep", "--r", "2", "--s", "3", "--d1", "5", "6", "--d3", "4", "5",
          "--steps", "3", "--tol", "1e-6"],
         ["sweep", "--r", "2", "--s", "3", "--d1", "5", "6", "--d3", "4", "5",
@@ -405,6 +421,26 @@ def test_repeated_main_calls_print_what_a_first_call_prints(tmp_path, capsys):
     build_parser.cache_clear()
     for argv in calls + calls[::-1]:
         assert run(capsys, argv) == first[tuple(argv)], argv
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {opt for action in sub._actions
+               for opt in (action.option_strings or [action.dest])
+               if opt not in ("-h", "--help")}
+        for name, sub in commands.choices.items()}
+    assert accepted == {
+        "solve": {"instance", "--seed", "--tol", "--csv", "--oracle-check"},
+        "table": {"--family", "--json"},
+        "sweep": {"--r", "--s", "--d1", "--d3", "--steps", "--tol"},
+        "contour": {"instance", "--seed", "--resolution"},
+        "thresholds": {"instance", "--seed", "--tol"},
+        "oracle": {"instance", "--seed", "--resolution", "--rounds",
+                   "--factor"},
+    }
 
 
 # --- contour ----------------------------------------------------------------

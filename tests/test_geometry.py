@@ -23,6 +23,21 @@ points = st.builds(Point2, coords, coords)
 circles = st.builds(Circle, points, radii)
 
 
+@st.composite
+def meeting_pairs(draw):
+    """Two circles whose center distance lies strictly between |ra - rb|
+    and ra + rb, so that they meet in two points."""
+    a = draw(circles)
+    rb = draw(radii)
+    frac = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    lo, hi = abs(a.radius - rb), a.radius + rb
+    gap = lo + frac * (hi - lo)
+    center = Point2(a.center.x + gap * math.cos(angle),
+                    a.center.y + gap * math.sin(angle))
+    return a, Circle(center, rb)
+
+
 def _triangle_area(a: Point2, b: Point2, c: Point2) -> float:
     return abs((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)) / 2.0
 
@@ -68,13 +83,15 @@ class TestCircleIntersect:
             assert abs(distance(p, a.center) - a.radius) <= 1e-7 * scale
             assert abs(distance(p, b.center) - b.radius) <= 1e-7 * scale
 
-    @given(a=circles, b=circles, third=points)
-    @example(a=Circle(Point2(0.0, 0.0), 1.0),
-             b=Circle(Point2(10.0, -1.19e-7), 10.0), third=Point2(1.0, 0.0))
+    @given(circle_pair=meeting_pairs(), third=points)
+    @example(circle_pair=(Circle(Point2(0.0, 0.0), 1.0),
+                          Circle(Point2(10.0, -1.19e-7), 10.0)),
+             third=Point2(1.0, 0.0))
     @settings(max_examples=200)
-    def test_plus_point_is_nearer_third(self, a, b, third):
+    def test_plus_point_is_nearer_third(self, circle_pair, third):
         """The '+' point is never farther from the third sensor than '-'
         by more than the tie tolerance, within which the order is by y."""
+        a, b = circle_pair
         gap = distance(a.center, b.center)
         assume(gap > 1e-6)
         pair = circle_circle_intersect(a, b, third)
@@ -119,22 +136,28 @@ class TestCanonicalFrame:
         fr = canonical_frame(Point2(-1, 0), Point2(1, 0), Point2(0, S3))
         assert abs(fr.r - 2) < 1e-12
         assert abs(fr.s - S3) < 1e-12
-        assert fr.shape == "Equilateral"
+        assert fr.isosceles
 
     def test_flat(self):
         fr = canonical_frame(Point2(0, 0), Point2(2, 0), Point2(1, 1))
         assert abs(fr.r - 2) < 1e-12 and abs(fr.s - 1) < 1e-12
-        assert fr.shape == "IsoscelesFlat"
+        assert fr.isosceles
 
     def test_sharp_with_motion_residual(self):
         zs = (Point2(5, 5), Point2(5, 9), Point2(11, 7))
         fr = canonical_frame(*zs)
         assert abs(fr.r - 4) < 1e-12 and abs(fr.s - 6) < 1e-12
-        assert fr.shape == "IsoscelesSharp"
+        assert fr.isosceles
         targets = (Point2(-2, 0), Point2(2, 0), Point2(0, 6))
         res = max(distance(fr.transform.apply(z), t)
                   for z, t in zip(zs, targets))
         assert res < 1e-12
+
+    def test_off_axis_apex_within_tol_is_isosceles(self):
+        apex = Point2(2e-7, 3.0)  # 1e-7 * r off the base bisector
+        assert not canonical_frame(Point2(-1, 0), Point2(1, 0), apex).isosceles
+        assert canonical_frame(Point2(-1, 0), Point2(1, 0), apex,
+                               tol=1e-6).isosceles
 
     def test_collinear_raises(self):
         with pytest.raises(DegenerateTriangle):
