@@ -342,7 +342,8 @@ def multiplicity_conditions(r: float, s: float, d1: float, d3: float,
     if flat and pf is not None and math.isfinite(pf) and near(d1, pf) \
             and near(d3, d3p):
         return 4, "flat apex at the critical base range, d3 at the tie locus"
-    if big_m is not None and d1 > b + eps and near(d3, big_m):
+    if big_m is not None and d1 > b + eps and near(d3, big_m) \
+            and not (flat and pf is not None and d1 > pf):
         return 3, "d3 at M: base '-' joins the leg '+' pair"
     dstar: Optional[float] = None
     if sharp and p is not None and d1 > p + eps and row.star is not None:
@@ -478,16 +479,24 @@ def _remap_role(role: Role, perm: Tuple[int, int, int]) -> Role:
     return role
 
 
+def equal_base_ranges(d_a: float, d_b: float, length: float,
+                      tol: float) -> bool:
+    """Whether two base ranges count as equal at length scale ``length``.
+
+    ``solve`` and the ``thresholds`` command both route on this test.
+    """
+    return abs(d_a - d_b) <= tol * (1.0 + length)
+
+
 def solve(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
     """Route to the symmetric tables when a relabeling fits, else scan."""
     length = config_scale(config)
     _require_usable_scale(length)
-    scale = 1.0 + length
     for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         z = tuple(config.Z[i] for i in perm)
         d = tuple(config.d[i] for i in perm)
         sub = canonical_frame(*z, tol=tol)
-        if not sub.isosceles or abs(d[0] - d[1]) > tol * scale:
+        if not (sub.isosceles and equal_base_ranges(d[0], d[1], length, tol)):
             continue
         d1 = (d[0] + d[1]) / 2.0
         sol = solve_isosceles(sub.r, sub.s, d1, d[2], tol=tol)

@@ -2,7 +2,8 @@
 
 Reports follow the "trilat/1" schema.  Output is buffered and written only
 on success, so a failing run never leaves partial CSV behind.  Exit codes:
-0 success, 2 degenerate or unusable geometry, 3 malformed input.
+0 success, 1 stdout closed before the report was written (no traceback),
+2 degenerate or unusable geometry, 3 malformed input.
 
 Only ``oracle``, ``contour`` and ``solve --oracle-check`` run the grid
 oracle, so they alone import it, and numpy with it.
@@ -15,6 +16,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -213,6 +215,13 @@ def _load_instance(path: str, seed_override: Optional[int]) -> SensorConfig:
     return parse_instance(obj, seed_override)
 
 
+def _load_usable_instance(args: argparse.Namespace) -> SensorConfig:
+    """The instance, refused (exit 2) where ``solve`` refuses its scale."""
+    config = _load_instance(args.instance, args.seed)
+    thresholds._require_usable_scale(config_scale(config))
+    return config
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -354,8 +363,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_contour(args: argparse.Namespace) -> int:
+    if args.resolution < 2:
+        raise _SchemaError("contour resolution must be at least 2")
     from . import oracle
-    config = _load_instance(args.instance, args.seed)
+    config = _load_usable_instance(args)
     xs, ys, vals = oracle.contour_grid(config, resolution=args.resolution)
     buf, writer = _csv_buffer()
     writer.writerow(["x", "y", "objective"])
@@ -367,13 +378,12 @@ def cmd_contour(args: argparse.Namespace) -> int:
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
-    config = _load_instance(args.instance, args.seed)
-    thresholds._require_usable_scale(config_scale(config))
+    config = _load_usable_instance(args)
     frame = canonical_frame(*config.Z, tol=args.tol)
-    scale = 1.0 + frame.r + frame.s + max(config.d)
     if not frame.isosceles:
         raise PreconditionViolation("thresholds need an isosceles layout")
-    if abs(config.d[0] - config.d[1]) > args.tol * scale:
+    if not classifier.equal_base_ranges(config.d[0], config.d[1],
+                                        config_scale(config), args.tol):
         raise PreconditionViolation("thresholds need equal base ranges")
     d1 = (config.d[0] + config.d[1]) / 2.0
     bundle = thresholds.compute_bundle(frame.r, frame.s, d1, config.d[2])
@@ -399,10 +409,13 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     from . import oracle
-    config = _load_instance(args.instance, args.seed)
-    spec = oracle.default_grid(config, resolution=args.resolution,
-                               refine_rounds=args.rounds,
-                               refine_factor=args.factor)
+    config = _load_usable_instance(args)
+    try:
+        spec = oracle.default_grid(config, resolution=args.resolution,
+                                   refine_rounds=args.rounds,
+                                   refine_factor=args.factor)
+    except ValueError as exc:
+        raise _SchemaError(f"grid: {exc}") from exc
     result = oracle.brute_force_minimize(config, spec)
     payload = {
         "schema": SCHEMA,
@@ -488,7 +501,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so a closed stdout raises inside this try block.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The Python docs' recipe: later flushes, at exit included, go to
+        # devnull instead of raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except _SchemaError as exc:
         _emit_error("schema", exc)
         return 3

@@ -247,7 +247,7 @@ def test_table_multiplicity_matches_solve():
         if got != (sol.multiplicity, sol.derivation):
             apart[(s, d1, d3)] = (got, sol.multiplicity)
             assert got[1] == sol.derivation
-            assert multiplicity_conditions(r, s, d1, d3)[0] == got[0]
+        assert multiplicity_conditions(r, s, d1, d3)[0] == got[0], (s, d1, d3)
         n += 1
     assert n > 20000
     assert apart == _BAND_CELLS
@@ -304,6 +304,16 @@ def test_conditions_agree_with_table_path():
             sol = solve_isosceles(2.0, s, d1, d3)
             count, _ = multiplicity_conditions(2.0, s, d1, d3)
             assert count == sol.multiplicity, (s, d1, d3)
+
+
+def test_conditions_flat_apex_beyond_critical_base_at_m():
+    """Beyond the flat critical base range the base '-' point does not join
+    the leg '+' pair at d3 = M; the tables name one minimizer there."""
+    r, s, d1 = 2.0, 0.87945, 2.0
+    row = thresholds.row_thresholds(r, s, d1)
+    assert d1 > row.P_flat
+    assert classifier.table_multiplicity(r, s, d1, row.M)[0] == 1
+    assert multiplicity_conditions(r, s, d1, row.M)[0] == 1
 
 
 # --- four-equal branch ------------------------------------------------------

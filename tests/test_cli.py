@@ -322,6 +322,17 @@ def test_thresholds_reads_tol_as_solve_does(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "PreconditionViolation"
 
 
+def test_thresholds_and_solve_share_the_equal_base_rule(tmp_path, capsys):
+    # base ranges 1e-8 apart: unequal at tol 1e-9 on either command
+    path = write_instance(tmp_path, {"r": 2, "s": 3, "d": [5, 5.00000001, 4]})
+    rc, out, _ = run(capsys, ["solve", path])
+    assert rc == 0
+    assert json.loads(out)["derivation"] == "general-scan"
+    rc, out, err = run(capsys, ["thresholds", path])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "PreconditionViolation"
+
+
 # --- oracle command ---------------------------------------------------------
 
 def test_oracle_command_five_way(tmp_path, capsys):
@@ -333,6 +344,32 @@ def test_oracle_command_five_way(tmp_path, capsys):
     assert abs(payload["global_value"] - 24.0) < 1e-9
     rounds = payload["round_values"]
     assert all(b <= a + 1e-12 for a, b in zip(rounds, rounds[1:]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--resolution", "4"],
+    ["oracle", "--factor", "1"],
+    ["oracle", "--rounds", "-1"],
+    ["contour", "--resolution", "-3"],
+    ["contour", "--resolution", "0"],
+], ids=" ".join)
+def test_grid_commands_reject_bad_grid_options(tmp_path, capsys, argv):
+    path = write_instance(tmp_path, FIVE_WAY_EXACT)
+    rc, out, err = run(capsys, [*argv, path])
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"]["code"] == "schema"
+
+
+@pytest.mark.parametrize("command", ["oracle", "contour"])
+def test_grid_commands_refuse_what_solve_refuses(tmp_path, capsys, command):
+    """Sensors near 1e300: L^2 overflows, so every command exits 2."""
+    huge = {"r": 2e300, "s": 3e300, "d": [7e300, 7e300, 6e300]}
+    path = write_instance(tmp_path, huge)
+    for argv in (["solve", path], [command, "--resolution", "16", path]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == "", argv
+        assert (json.loads(err)["error"]["code"]
+                == "PreconditionViolation"), argv
 
 
 # --- sweep ------------------------------------------------------------------
@@ -572,6 +609,20 @@ def test_oracle_commands_run_in_a_fresh_process():
     out, _ = _run_child(["contour", "--resolution", "8", "-"], FIVE_WAY_EXACT)
     lines = out.splitlines()
     assert lines[0] == "x,y,objective" and len(lines) == 1 + 8 * 8
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trilat.cli", "thresholds", "-"],
+            input=json.dumps(FIVE_WAY_EXACT).encode(), stdout=write_end,
+            stderr=subprocess.PIPE, timeout=60, env=_child_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 # --- console script ---------------------------------------------------------

@@ -25,6 +25,8 @@ def test_grid_spec_validation():
         GridSpec((0.0, 1.0, 0.0, 1.0), resolution=4)
     with pytest.raises(ValueError):
         GridSpec((0.0, 1.0, 0.0, 1.0), refine_factor=1.0)
+    with pytest.raises(ValueError):
+        GridSpec((0.0, 1.0, 0.0, 1.0), refine_rounds=-1)
 
 
 def test_default_grid_covers_every_disk():
@@ -207,6 +209,40 @@ def test_objective_scalar_on_floats_is_bit_identical():
         assert v == oracle._objective_scalar(zs, dsq, x, y)
         # libm pow rounds a square within an ulp of numpy's x*x
         assert abs(v - g) <= 8 * math.ulp(max(dsq_terms) + x * x + y * y)
+
+
+def _seeded_general_layout(index):
+    """General layout ``index`` (from 0) of the seeded acceptance draws."""
+    rng = random.Random(20240811)
+    drawn = -1
+    while drawn < index:
+        pts = [Point2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+               for _ in range(3)]
+        ax, ay = pts[1].x - pts[0].x, pts[1].y - pts[0].y
+        bx, by = pts[2].x - pts[0].x, pts[2].y - pts[0].y
+        if abs(ax * by - ay * bx) <= 0.5:
+            continue
+        d = tuple(rng.uniform(0.3, 8.0) for _ in range(3))
+        drawn += 1
+    return SensorConfig(tuple(pts), d)
+
+
+def test_refinement_work_on_a_valley_layout(monkeypatch):
+    """A valley layout whose 38 representatives once took 194,826 scalar
+    evaluations, almost all in line searches, to keep one minimum."""
+    calls = []
+    scalar = oracle._objective_scalar
+
+    def counting(zs, dsq, x, y):
+        calls.append(1)
+        return scalar(zs, dsq, x, y)
+
+    monkeypatch.setattr(oracle, "_objective_scalar", counting)
+    cfg = _seeded_general_layout(32)
+    res = brute_force_minimize(cfg, default_grid(cfg, resolution=192,
+                                                 refine_rounds=6))
+    assert len(res.minima) == 1
+    assert len(calls) < 20000
 
 
 class TestSurvivorCap:
