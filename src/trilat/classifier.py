@@ -12,27 +12,26 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import MissingIntersection, PreconditionViolation
-from .geometry import (SQRT3_2, Point2, SensorConfig, canonical_frame,
-                       centroid_points, circle_circle_intersect, config_scale,
-                       distance, n3_point)
-from .regions import objective_value
+from .geometry import (SQRT3_2, Point2, SensorConfig, _frame_basis,
+                       _require_finite, canonical_frame, centroid_points,
+                       circle_circle_intersect, config_scale, distance,
+                       n3_point)
+from .regions import objective_at, objective_value
 from .thresholds import (ROW_CACHE_SIZE, _require_usable_scale, compute_bundle,
                          row_thresholds)
 
 REL_TIE = 1e-9
 
 Role = str
+# A candidate before it wins: coordinates and role, as plain values.
+Candidate = Tuple[float, float, Role]
 
-_PAIR_SPECS: Tuple[Tuple[Role, int, int, int, bool], ...] = (
-    ("S12plus", 0, 1, 2, True),
-    ("S12minus", 0, 1, 2, False),
-    ("S23plus", 1, 2, 0, True),
-    ("S23minus", 1, 2, 0, False),
-    ("S31plus", 2, 0, 1, True),
-    ("S31minus", 2, 0, 1, False),
-)
+# Circle pairs (i, j) with the third sensor k that tells "plus" from "minus".
+_PAIRS: Tuple[Tuple[str, int, int, int], ...] = (
+    ("S12", 0, 1, 2), ("S23", 1, 2, 0), ("S31", 2, 0, 1))
 
-_PAIR_BY_ROLE = {spec[0]: spec[1:] for spec in _PAIR_SPECS}
+_PAIR_BY_ROLE = {name + side: (i, j, k, side == "plus")
+                 for name, i, j, k in _PAIRS for side in ("plus", "minus")}
 
 
 @dataclass(frozen=True)
@@ -62,35 +61,29 @@ def _pair_point(config: SensorConfig, role: Role) -> Optional[Point2]:
     return pair.plus_point if plus else pair.minus_point
 
 
-def _materialize(config: SensorConfig, symbol: str) -> Optional[CandidatePoint]:
+def _materialize(config: SensorConfig, symbol: str) -> Optional[Candidate]:
     if symbol in _PAIR_BY_ROLE:
         p = _pair_point(config, symbol)
-        return CandidatePoint(p, symbol) if p is not None else None
-    cents = centroid_points(*config.Z)
-    if symbol == "Y0":
-        return CandidatePoint(cents[0], "Y0")
-    if symbol == "Y3":
-        return CandidatePoint(cents[3], "Y3")
-    if symbol == "N3":
-        return CandidatePoint(n3_point(config), "N3")
-    raise KeyError(symbol)
+    elif symbol == "N3":
+        p = n3_point(config)
+    else:
+        p = centroid_points(*config.Z)[{"Y0": 0, "Y3": 3}[symbol]]
+    return None if p is None else (p.x, p.y, symbol)
 
 
-def _argmin_set(config: SensorConfig,
-                candidates: Sequence[CandidatePoint],
-                pos_eps: float) -> Tuple[List[CandidatePoint], float]:
+def _argmin_set(config: SensorConfig, candidates: Sequence[Candidate],
+                pos_eps: float) -> Tuple[Tuple[CandidatePoint, ...], float]:
     """Keep candidates tied with the best value, deduplicated by location."""
-    vals = [objective_value(config, c.location) for c in candidates]
+    vals = [objective_at(config.Z, config.d, x, y) for x, y, _ in candidates]
     vmin = min(vals)
     cut = vmin + REL_TIE * max(1.0, abs(vmin))
-    winners: List[CandidatePoint] = []
-    for cand, val in zip(candidates, vals):
-        if val > cut:
-            continue
-        if any(distance(cand.location, w.location) <= pos_eps for w in winners):
-            continue
-        winners.append(cand)
-    return winners, vmin
+    winners: List[Candidate] = []
+    for (x, y, role), val in zip(candidates, vals):
+        if val <= cut and all(math.hypot(x - wx, y - wy) > pos_eps
+                              for wx, wy, _ in winners):
+            winners.append((x, y, role))
+    return tuple(CandidatePoint(Point2(x, y), role)
+                 for x, y, role in winners), vmin
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +237,7 @@ def _solve_from_blocks(r: float, s: float, d1: float, d3: float,
             f"no table row yields a candidate at d1={d1!r}, d3={d3!r}")
     pos_eps = REL_TIE * (1.0 + config_scale(config))
     winners, vmin = _argmin_set(config, candidates, pos_eps)
-    return SolutionSet(tuple(winners), vmin, len(winners), derivation,
+    return SolutionSet(winners, vmin, len(winners), derivation,
                        _near_threshold(r, s, d1, d3))
 
 
@@ -395,32 +388,10 @@ def _in_region(config: SensorConfig, p: Point2, bits: Tuple[int, ...],
     return True
 
 
-def _radial_candidates(config: SensorConfig, eps: float) -> List[CandidatePoint]:
-    """Nearest/farthest points of each circle from each quadratic center.
-
-    Yj - Zj = 3 (Y0 - Zj) and Ym - Zj = -(Yn - Zj), so circle j has two
-    directions: towards Y0 and towards the first other reflection.
-    """
-    out: List[CandidatePoint] = []
-    anchors = centroid_points(*config.Z)
-    for a, anchor in enumerate(anchors):
-        for j, (z, d) in enumerate(zip(config.Z, config.d)):
-            if a not in (0, 2 if j == 0 else 1):
-                continue
-            if d <= 0.0:
-                if a == 0:
-                    out.append(CandidatePoint(z, "RegionProjection"))
-                continue
-            norm = distance(anchor, z)
-            if norm <= eps:
-                continue
-            for sign in (1.0, -1.0):
-                t = sign * d / norm
-                out.append(CandidatePoint(
-                    Point2(z.x + t * (anchor.x - z.x),
-                           z.y + t * (anchor.y - z.y)),
-                    "RegionProjection"))
-    return out
+# (anchor, circle) of each radial projection.  Yj - Zj = 3 (Y0 - Zj) and
+# Ym - Zj = -(Yn - Zj), so circle j has two directions: towards Y0 and
+# towards the first other reflection.
+_RADIAL = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 0))
 
 
 def solve_general(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
@@ -439,30 +410,42 @@ def solve_general(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
     canonical_frame(*config.Z, tol=tol)
     scale = 1.0 + config_scale(config)
     eps = tol * scale
+    zs, ds = config.Z, config.d
+    circles = config.circles()
 
-    candidates: List[CandidatePoint] = []
-    for role, *_ in _PAIR_SPECS:
-        p = _pair_point(config, role)
-        if p is not None:
-            candidates.append(CandidatePoint(p, role))
-    cents = centroid_points(*config.Z)
-    if _in_region(config, cents[0], (0, 0, 0), eps):
-        candidates.append(CandidatePoint(cents[0], "Y0"))
-    for j in range(3):
-        bits = tuple(1 if m == j else 0 for m in range(3))
-        if _in_region(config, cents[j + 1], bits, eps):
-            candidates.append(CandidatePoint(cents[j + 1], f"Y{j + 1}"))
-    candidates.extend(_radial_candidates(config, eps))
+    candidates: List[Candidate] = []
+    for name, i, j, k in _PAIRS:
+        pair = circle_circle_intersect(circles[i], circles[j], zs[k])
+        if pair.count:
+            p, m = pair.plus_point, pair.minus_point
+            candidates += [(p.x, p.y, name + "plus"), (m.x, m.y, name + "minus")]
+    anchors = centroid_points(*zs)
+    for a, anchor in enumerate(anchors):  # Y0 outside all disks, Yj in j alone
+        if _in_region(config, anchor, tuple(int(m == a - 1) for m in range(3)),
+                      eps):
+            candidates.append((anchor.x, anchor.y, f"Y{a}"))
+    for a, j in _RADIAL:
+        z, d, anchor = zs[j], ds[j], anchors[a]
+        if d <= 0.0:
+            if a == 0:
+                candidates.append((z.x, z.y, "RegionProjection"))
+            continue
+        norm = distance(anchor, z)
+        if norm <= eps:
+            continue
+        for t in (d / norm, -d / norm):
+            x, y = z.x + t * (anchor.x - z.x), z.y + t * (anchor.y - z.y)
+            _require_finite(x, y)  # as a Point2 would, losers included
+            candidates.append((x, y, "RegionProjection"))
 
     winners, vmin = _argmin_set(config, candidates, REL_TIE * scale)
-    return SolutionSet(tuple(winners), vmin, len(winners), "general-scan", ())
+    return SolutionSet(winners, vmin, len(winners), "general-scan", ())
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
-_PAIR_NAME = {frozenset((0, 1)): "S12", frozenset((1, 2)): "S23",
-              frozenset((2, 0)): "S31"}
+_PAIR_NAME = {frozenset((i, j)): name for name, i, j, _ in _PAIRS}
 
 
 def _remap_role(role: Role, perm: Tuple[int, int, int]) -> Role:
@@ -495,8 +478,11 @@ def solve(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
     for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         z = tuple(config.Z[i] for i in perm)
         d = tuple(config.d[i] for i in perm)
+        _frame_basis(*z, tol)  # refuses a degenerate relabeling in turn
+        if not equal_base_ranges(d[0], d[1], length, tol):
+            continue
         sub = canonical_frame(*z, tol=tol)
-        if not (sub.isosceles and equal_base_ranges(d[0], d[1], length, tol)):
+        if not sub.isosceles:
             continue
         d1 = (d[0] + d[1]) / 2.0
         sol = solve_isosceles(sub.r, sub.s, d1, d[2], tol=tol)

@@ -195,7 +195,7 @@ def n3_point(config: SensorConfig) -> Point2:
     z3 = config.Z[2]
     _, _, _, y3 = centroid_points(*config.Z)
     norm = distance(y3, z3)
-    if norm <= 1e-15 * (1.0 + config_scale(config)):
+    if norm <= 1e-15 * config_scale(config):
         raise DegenerateDirection("Y3 coincides with Z3")
     t = config.d[2] / norm
     return Point2(z3.x + t * (y3.x - z3.x), z3.y + t * (y3.y - z3.y))
@@ -230,14 +230,11 @@ class CanonicalFrame:
     apex: Point2  # frame coordinates of the third sensor
 
 
-def canonical_frame(z1: Point2, z2: Point2, z3: Point2,
-                    tol: float = 1e-9) -> CanonicalFrame:
-    """Rigid motion carrying Z1 -> (-r/2, 0), Z2 -> (r/2, 0), apex above the base.
+def _frame_basis(z1: Point2, z2: Point2, z3: Point2, tol: float
+                 ) -> Tuple[float, float, float, Tuple[float, ...]]:
+    """Base length r, apex (ax, ay) and the rigid motion's six numbers.
 
-    The frame reflects if needed so the third sensor has nonnegative height;
-    ``s`` is the distance from the third sensor to the base midpoint.  The
-    frame is ``isosceles`` when the apex lies within ``tol * r`` of the base
-    bisector.
+    Raises ``DegenerateTriangle`` where ``canonical_frame`` refuses a layout.
     """
     r = distance(z1, z2)
     scale = r + distance(z1, z3) + distance(z2, z3)
@@ -252,8 +249,19 @@ def canonical_frame(z1: Point2, z2: Point2, z3: Point2,
         vx, vy, ay = -vx, -vy, -ay
     if ay <= tol * r:
         raise DegenerateTriangle("sensors are collinear within tolerance")
-    s = math.hypot(ax, ay)
-    tf = RigidMotion(ux, uy, vx, vy, ox, oy)
-    return CanonicalFrame(transform=tf, r=r, s=s, isosceles=abs(ax) <= tol * r,
-                          apex=Point2(ax, ay))
+    return r, ax, ay, (ux, uy, vx, vy, ox, oy)
 
+
+def canonical_frame(z1: Point2, z2: Point2, z3: Point2,
+                    tol: float = 1e-9) -> CanonicalFrame:
+    """Rigid motion carrying Z1 -> (-r/2, 0), Z2 -> (r/2, 0), apex above the base.
+
+    The frame reflects if needed so the third sensor has nonnegative height;
+    ``s`` is the distance from the third sensor to the base midpoint.  The
+    frame is ``isosceles`` when the apex lies within ``tol * r`` of the base
+    bisector.
+    """
+    r, ax, ay, motion = _frame_basis(z1, z2, z3, tol)
+    return CanonicalFrame(transform=RigidMotion(*motion), r=r,
+                          s=math.hypot(ax, ay), isosceles=abs(ax) <= tol * r,
+                          apex=Point2(ax, ay))

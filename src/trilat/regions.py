@@ -1,17 +1,23 @@
 """Objective evaluation and the objective table at the six pair points."""
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import MissingIntersection
 from .geometry import Point2, SensorConfig, circle_circle_intersect
 
 
-def objective_value(config: SensorConfig, w: Point2) -> float:
+def objective_at(zs: Sequence[Point2], ds: Sequence[float], x: float,
+                 y: float) -> float:
+    """O at (x, y) for sensors ``zs`` with ranges ``ds``."""
     total = 0.0
-    for z, dj in zip(config.Z, config.d):
-        total += abs((w.x - z.x) ** 2 + (w.y - z.y) ** 2 - dj * dj)
+    for z, dj in zip(zs, ds):
+        total += abs((x - z.x) ** 2 + (y - z.y) ** 2 - dj * dj)
     return total
+
+
+def objective_value(config: SensorConfig, w: Point2) -> float:
+    return objective_at(config.Z, config.d, w.x, w.y)
 
 
 _TABLE_PAIRS: Tuple[Tuple[str, int, int, int], ...] = (

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MAP_WINDOWS, S3, canonical, rel, sweep_axes
-from trilat import classifier, thresholds
-from trilat.classifier import (multiplicity_conditions, solve,
-                               solve_general, solve_isosceles)
+from trilat import classifier, geometry, thresholds
+from trilat.classifier import (CandidatePoint, SolutionSet,
+                               multiplicity_conditions, solve, solve_general,
+                               solve_isosceles)
 from trilat.errors import DegenerateTriangle, MissingIntersection
-from trilat.geometry import Point2, SensorConfig, config_scale, distance
+from trilat.geometry import (Point2, SensorConfig, canonical_frame,
+                             centroid_points, circle_circle_intersect,
+                             config_scale, distance)
 from trilat.regions import objective_table, objective_value
 
 
@@ -464,3 +467,233 @@ def test_cell_order_does_not_change_answers(name):
         assert got.multiplicity == want.multiplicity, cell
         assert got.derivation == want.derivation, cell
         assert got.near_threshold == want.near_threshold, cell
+
+
+# --- general scan against an object-based reference -------------------------
+#
+# The reference is the scan as it stood before it moved to plain floats: it
+# wraps every candidate in a CandidatePoint, intersects each circle pair once
+# per role and builds a canonical frame for every relabeling.  ``solve`` must
+# return equal SolutionSets (floats and roles included) and the same refusals.
+
+_REF_PAIR_SPECS = (
+    ("S12plus", 0, 1, 2, True), ("S12minus", 0, 1, 2, False),
+    ("S23plus", 1, 2, 0, True), ("S23minus", 1, 2, 0, False),
+    ("S31plus", 2, 0, 1, True), ("S31minus", 2, 0, 1, False),
+)
+
+
+def _ref_in_region(config, p, bits, eps):
+    for z, d, bit in zip(config.Z, config.d, bits):
+        dist = distance(p, z)
+        if bit and dist > d + eps:
+            return False
+        if not bit and dist < d - eps:
+            return False
+    return True
+
+
+def _ref_radial_candidates(config, eps):
+    out = []
+    anchors = centroid_points(*config.Z)
+    for a, anchor in enumerate(anchors):
+        for j, (z, d) in enumerate(zip(config.Z, config.d)):
+            if a not in (0, 2 if j == 0 else 1):
+                continue
+            if d <= 0.0:
+                if a == 0:
+                    out.append(CandidatePoint(z, "RegionProjection"))
+                continue
+            norm = distance(anchor, z)
+            if norm <= eps:
+                continue
+            for sign in (1.0, -1.0):
+                t = sign * d / norm
+                out.append(CandidatePoint(
+                    Point2(z.x + t * (anchor.x - z.x),
+                           z.y + t * (anchor.y - z.y)),
+                    "RegionProjection"))
+    return out
+
+
+def _ref_argmin_set(config, candidates, pos_eps):
+    vals = [objective_value(config, c.location) for c in candidates]
+    vmin = min(vals)
+    cut = vmin + classifier.REL_TIE * max(1.0, abs(vmin))
+    winners = []
+    for cand, val in zip(candidates, vals):
+        if val > cut:
+            continue
+        if any(distance(cand.location, w.location) <= pos_eps for w in winners):
+            continue
+        winners.append(cand)
+    return winners, vmin
+
+
+def _ref_solve_general(config, tol=1e-9):
+    canonical_frame(*config.Z, tol=tol)
+    scale = 1.0 + config_scale(config)
+    eps = tol * scale
+    circles = config.circles()
+    candidates = []
+    for role, i, j, k, plus in _REF_PAIR_SPECS:
+        pair = circle_circle_intersect(circles[i], circles[j], config.Z[k])
+        if pair.count:
+            p = pair.plus_point if plus else pair.minus_point
+            candidates.append(CandidatePoint(p, role))
+    cents = centroid_points(*config.Z)
+    if _ref_in_region(config, cents[0], (0, 0, 0), eps):
+        candidates.append(CandidatePoint(cents[0], "Y0"))
+    for j in range(3):
+        bits = tuple(1 if m == j else 0 for m in range(3))
+        if _ref_in_region(config, cents[j + 1], bits, eps):
+            candidates.append(CandidatePoint(cents[j + 1], f"Y{j + 1}"))
+    candidates.extend(_ref_radial_candidates(config, eps))
+    winners, vmin = _ref_argmin_set(config, candidates,
+                                    classifier.REL_TIE * scale)
+    return SolutionSet(tuple(winners), vmin, len(winners), "general-scan", ())
+
+
+def _ref_solve(config, tol=1e-9):
+    length = config_scale(config)
+    thresholds._require_usable_scale(length)
+    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        z = tuple(config.Z[i] for i in perm)
+        d = tuple(config.d[i] for i in perm)
+        sub = canonical_frame(*z, tol=tol)
+        if not (sub.isosceles
+                and classifier.equal_base_ranges(d[0], d[1], length, tol)):
+            continue
+        sol = solve_isosceles(sub.r, sub.s, (d[0] + d[1]) / 2.0, d[2], tol=tol)
+        points = tuple(
+            CandidatePoint(sub.transform.invert(c.location),
+                           classifier._remap_role(c.role, perm))
+            for c in sol.points)
+        value = min(objective_value(config, c.location) for c in points)
+        return SolutionSet(points, value, sol.multiplicity, sol.derivation,
+                           sol.near_threshold)
+    return _ref_solve_general(config, tol=tol)
+
+
+def _criterion_6_layouts(count):
+    rng = random.Random(20240811)
+    out = []
+    while len(out) < count:
+        pts = [Point2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+               for _ in range(3)]
+        ax, ay = pts[1].x - pts[0].x, pts[1].y - pts[0].y
+        bx, by = pts[2].x - pts[0].x, pts[2].y - pts[0].y
+        if abs(ax * by - ay * bx) <= 0.5:
+            continue
+        out.append(SensorConfig(tuple(pts),
+                                tuple(rng.uniform(0.3, 8.0) for _ in range(3))))
+    return out
+
+
+def _moved_isosceles_layouts(count):
+    """Isosceles cells under a rotation, shift, reflection and relabeling."""
+    rng = random.Random(20240813)
+    out = []
+    for _ in range(count):
+        base = canonical(rng.uniform(0.5, 4.0), rng.uniform(0.2, 4.0),
+                         rng.uniform(0.05, 10.0), rng.uniform(0.05, 10.0))
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(th), math.sin(th)
+        flip = rng.choice((1.0, -1.0))
+        ox, oy = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+        perm = rng.choice(((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2)))
+        zs = [Point2(c * z.x - s * flip * z.y + ox, s * z.x + c * flip * z.y + oy)
+              for z in base.Z]
+        out.append(SensorConfig(tuple(zs[j] for j in perm),
+                                tuple(base.d[j] for j in perm)))
+    return out
+
+
+def _zero_range_layouts():
+    rng = random.Random(20240814)
+    out = []
+    for n, cfg in enumerate(_criterion_6_layouts(100)):
+        zeros = ((0,), (1,), (2,), (0, 2), (0, 1, 2))[n % 5]
+        d = tuple(0.0 if j in zeros else cfg.d[j] * rng.uniform(0.5, 1.5)
+                  for j in range(3))
+        out.append(SensorConfig(cfg.Z, d))
+    return out
+
+
+# Y0 wins outside every disk; Y1 wins inside disk 1 alone.
+_COMPANION_LAYOUTS = {
+    "Y0": SensorConfig((Point2(0, 0), Point2(4, 0), Point2(1, 3)),
+                       (0.5, 0.5, 0.5)),
+    "Y1": SensorConfig((Point2(0, 0), Point2(4, 0), Point2(1, 3)),
+                       (6.0, 0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("layouts", [
+    pytest.param(lambda: _criterion_6_layouts(1000), id="criterion-6"),
+    pytest.param(lambda: _moved_isosceles_layouts(300), id="moved-isosceles"),
+    pytest.param(_zero_range_layouts, id="zero-range"),
+    pytest.param(lambda: list(_COMPANION_LAYOUTS.values()), id="companions"),
+])
+def test_solve_equals_object_based_reference(layouts):
+    configs = layouts()
+    for cfg in configs:
+        assert solve(cfg) == _ref_solve(cfg), cfg
+        assert solve_general(cfg) == _ref_solve_general(cfg), cfg
+
+
+def test_reference_layouts_reach_every_branch():
+    assert sum(solve(cfg).derivation != "general-scan"
+               for cfg in _moved_isosceles_layouts(300)) >= 200
+    at_sensor = [c for cfg in _zero_range_layouts()
+                 for c in _ref_radial_candidates(cfg, 0.0)
+                 if c.location in cfg.Z]
+    assert at_sensor
+    for role, cfg in _COMPANION_LAYOUTS.items():
+        assert [c.role for c in solve(cfg).points] == [role]
+
+
+_REFUSALS = {
+    "Z1 at Z2": ((Point2(0, 0), Point2(0, 0), Point2(1, 2)),
+                 "base sensors coincide"),
+    "Z2 at Z3": ((Point2(0, 0), Point2(1, 2), Point2(1, 2)),
+                 "sensors are collinear within tolerance"),
+    "Z3 at Z1": ((Point2(0, 0), Point2(3, 1), Point2(0, 0)),
+                 "sensors are collinear within tolerance"),
+    "collinear": ((Point2(0, 0), Point2(1, 0), Point2(3, 0)),
+                  "sensors are collinear within tolerance"),
+    # the (0, 1, 2) frame accepts it; the (1, 2, 0) frame refuses it
+    "needle": ((Point2(0, 0), Point2(1, 0), Point2(1000, 1e-6)),
+               "sensors are collinear within tolerance"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_solve_refuses_as_the_reference(name):
+    zs, message = _REFUSALS[name]
+    d = (3.0, 2.5, 999.0) if name == "needle" else (1.0, 2.0, 3.0)
+    cfg = SensorConfig(zs, d)
+    for fn in (solve, _ref_solve):
+        with pytest.raises(DegenerateTriangle) as err:
+            fn(cfg)
+        assert str(err.value) == message
+
+
+def test_general_solve_builds_one_frame_and_three_intersections(monkeypatch):
+    counts = {"frames": 0, "intersections": 0}
+    frame_cls = geometry.CanonicalFrame
+    intersect = classifier.circle_circle_intersect
+
+    def counted_frame(*args, **kwargs):
+        counts["frames"] += 1
+        return frame_cls(*args, **kwargs)
+
+    def counted_intersect(*args, **kwargs):
+        counts["intersections"] += 1
+        return intersect(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "CanonicalFrame", counted_frame)
+    monkeypatch.setattr(classifier, "circle_circle_intersect", counted_intersect)
+    cfg = _criterion_6_layouts(1)[0]
+    assert solve(cfg).derivation == "general-scan"
+    assert counts == {"frames": 1, "intersections": 3}

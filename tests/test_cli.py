@@ -176,6 +176,18 @@ def test_scale_scan_never_crashes(tmp_path, capsys):
                 assert out == "" and "error" in json.loads(err), (e, obj)
 
 
+@pytest.mark.parametrize("x", [1e-16, 1e-20, 1e-100, 1e-150])
+def test_n3_row_solves_at_small_scales(tmp_path, capsys, x):
+    """The N3 cell of the sharp table solves at every usable length scale."""
+    obj = {"r": 2.0 * x, "s": 3.0 * x, "d": [0.5 * x, 0.5 * x, 3.0 * x]}
+    rc, out, _ = run(capsys, ["solve", write_instance(tmp_path, obj)])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["multiplicity"] == 1
+    assert [p["role"] for p in payload["solutions"]] == ["N3"]
+    assert payload["derivation"] == "isosceles-sharp:1.2"
+
+
 # --- instance parsing -------------------------------------------------------
 
 def test_parse_instance_ranges_object():
