@@ -108,13 +108,6 @@ def _row(lo: float, lo_c: bool, hi: float, hi_c: bool,
     return (lo, lo_c, hi, hi_c, symbols, rid)
 
 
-def _inside(v: float, lo: float, lo_c: bool, hi: float, hi_c: bool,
-            eps: float) -> bool:
-    ok_lo = v >= lo - eps if (lo_c or lo == 0.0) else v > lo + eps
-    ok_hi = v <= hi + eps if hi_c else v < hi - eps
-    return ok_lo and ok_hi
-
-
 @functools.lru_cache(maxsize=ROW_CACHE_SIZE)
 def _isosceles_blocks(r: float, s: float, d1: float,
                       regime: str) -> Tuple[Block, ...]:
@@ -204,17 +197,24 @@ def _matched_rows(r: float, s: float, d1: float, d3: float,
                   blocks: Sequence[Block], family: str,
                   tol: float) -> Tuple[List[str], str]:
     """Symbols of the rows that contain (d1, d3), in table order, and the
-    derivation naming those rows."""
+    derivation naming those rows.
+
+    A value lies inside an interval when it clears each end by eps: a closed
+    end, or an open end at 0, admits values up to eps beyond it, and any
+    other open end needs them more than eps within it.
+    """
     eps = tol * (r + s + d1 + abs(d3))
     symbols: List[str] = []
     row_ids: List[str] = []
     for lo, lo_c, hi, hi_c, rows, _bid in blocks:
-        if not _inside(d1, lo, lo_c, hi, hi_c, eps):
+        if not ((d1 >= lo - eps if (lo_c or lo == 0.0) else d1 > lo + eps)
+                and (d1 <= hi + eps if hi_c else d1 < hi - eps)):
             continue
         for rlo, rlo_c, rhi, rhi_c, syms, rid in rows:
             if rlo > rhi:
                 continue
-            if _inside(d3, rlo, rlo_c, rhi, rhi_c, eps):
+            if ((d3 >= rlo - eps if (rlo_c or rlo == 0.0) else d3 > rlo + eps)
+                    and (d3 <= rhi + eps if rhi_c else d3 < rhi - eps)):
                 row_ids.append(rid)
                 for sym in syms:
                     if sym not in symbols:
@@ -260,21 +260,26 @@ def _near_threshold(r: float, s: float, d1: float,
     return tuple(out)
 
 
-def _tables(r: float, s: float, d1: float, d3: float,
+def _tables(r: float, s: float, d1: float, d3_lo: float, d3_hi: float,
             tol: float) -> Tuple[float, Tuple[Block, ...], str]:
-    """Apex height, case tables and family name for one cell.
+    """Apex height, case tables and family name for the cells (d1, d3) with
+    d3_lo <= d3 <= d3_hi.
 
     Within tolerance of the equilateral height the apex snaps to it exactly,
     where the tall-apex tables hold with no P, R = d1 and
-    M = sqrt(d1^2 + 2 r^2).
+    M = sqrt(d1^2 + 2 r^2).  The length scale grows with d3 and the usable
+    scales form an interval, so the two ends pass the scale check exactly
+    when every cell between them does.
     """
-    if r <= 0.0 or s <= 0.0 or d1 < 0.0 or d3 < 0.0:
+    if r <= 0.0 or s <= 0.0 or d1 < 0.0 or d3_lo < 0.0:
         raise PreconditionViolation("need r, s > 0 and nonnegative ranges")
     t3 = SQRT3_2 * r
     equilateral = abs(s - t3) <= tol * r
     if equilateral:
         s = t3
-    _require_usable_scale(max(r, math.hypot(r / 2.0, s)) + max(d1, d3))
+    base = max(r, math.hypot(r / 2.0, s))
+    _require_usable_scale(base + max(d1, d3_lo))
+    _require_usable_scale(base + max(d1, d3_hi))
     regime = "flat" if s < t3 else "sharp"
     family = "equilateral" if equilateral else f"isosceles-{regime}"
     return s, _isosceles_blocks(r, s, d1, regime), family
@@ -283,22 +288,37 @@ def _tables(r: float, s: float, d1: float, d3: float,
 def solve_isosceles(r: float, s: float, d1: float, d3: float,
                     tol: float = 1e-9) -> SolutionSet:
     """Minimizer set for base r, apex height s, ranges (d1, d1, d3)."""
-    s, blocks, family = _tables(r, s, d1, d3, tol)
+    s, blocks, family = _tables(r, s, d1, d3, d3, tol)
     return _solve_from_blocks(r, s, d1, d3, blocks, family, tol)
 
 
-def table_multiplicity(r: float, s: float, d1: float, d3: float,
-                       tol: float = 1e-9) -> Tuple[int, str]:
-    """Multiplicity and derivation of ``solve_isosceles``, without points.
+def table_multiplicities(r: float, s: float, d1: float, d3s: Sequence[float],
+                         tol: float = 1e-9) -> List[Tuple[int, str]]:
+    """Multiplicity and derivation of ``solve_isosceles`` at each d3 of
+    ``d3s`` on the row d1, in order, without points.
 
     Each matched row names tied minimizers only, and no two symbols name the
     same point, so the count of distinct symbols is the multiplicity.  Off a
     tie locus but inside the rows' eps band of it, the objective's tie cut
     can keep fewer; ``multiplicity_conditions`` counts as the rows do.
+
+    The tables depend on d1 alone, so the row checks its least and greatest
+    d3 and builds the tables once.  Where that check fails, the cells run in
+    turn, each checked and scanned, so the first failing cell raises its own
+    error.  A NaN d3 passes the checks (max(d1, nan) is d1) and fails in the
+    scan, in the row as on its own.
     """
-    s, blocks, family = _tables(r, s, d1, d3, tol)
-    symbols, derivation = _matched_rows(r, s, d1, d3, blocks, family, tol)
-    return len(symbols), derivation
+    try:
+        s_row, blocks, family = _tables(r, s, d1, min(d3s), max(d3s), tol)
+    except PreconditionViolation:
+        cells = []
+        for d3 in d3s:
+            s_cell, blocks, family = _tables(r, s, d1, d3, d3, tol)
+            cells.append(_matched_rows(r, s_cell, d1, d3, blocks, family, tol))
+    else:
+        cells = [_matched_rows(r, s_row, d1, d3, blocks, family, tol)
+                 for d3 in d3s]
+    return [(len(symbols), derivation) for symbols, derivation in cells]
 
 
 # ---------------------------------------------------------------------------

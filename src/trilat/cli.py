@@ -261,9 +261,18 @@ def _solution_payload(solution: classifier.SolutionSet) -> Dict[str, Any]:
     }
 
 
+def _tolerance(args: argparse.Namespace) -> float:
+    """The --tol value, refused (exit 3) unless finite and nonnegative."""
+    if not 0.0 <= args.tol < math.inf:
+        raise _SchemaError(f"--tol must be finite and nonnegative, "
+                           f"got {args.tol!r}")
+    return args.tol
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
     config = _load_instance(args.instance, args.seed)
-    solution = classifier.solve(config, tol=args.tol)
+    solution = classifier.solve(config, tol=tol)
     payload = _solution_payload(solution)
     if args.oracle_check:
         from . import oracle
@@ -344,20 +353,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo1, hi1 = args.d1
     lo3, hi3 = args.d3
     n = args.steps
+    tol = _tolerance(args)
+    if not all(map(math.isfinite, (lo1, hi1, lo3, hi3))):
+        raise _SchemaError("sweep window ends must be finite")
     if n < 2 or hi1 <= lo1 or hi3 <= lo3:
         raise _SchemaError("sweep needs at least 2 steps and increasing ranges")
     d1s = [lo1 + (hi1 - lo1) * i / (n - 1) for i in range(n)]
     d3s = [lo3 + (hi3 - lo3) * i / (n - 1) for i in range(n)]
+    d3_texts = [f"{d3:.10g}" for d3 in d3s]
     buf, writer = _csv_buffer()
     writer.writerow(["d1", "d3", "multiplicity", "derivation"])
     # Row by row: the d1-only thresholds and case tables are built once per
-    # row and reused for each of its d3 cells, which read the matched rows
-    # alone and materialize no points.
+    # row, and each d3 cell reads its matched rows alone, building no points.
     for d1 in d1s:
-        for d3 in d3s:
-            count, derivation = classifier.table_multiplicity(
-                args.r, args.s, d1, d3, tol=args.tol)
-            writer.writerow([f"{d1:.10g}", f"{d3:.10g}", count, derivation])
+        d1_text = f"{d1:.10g}"
+        cells = classifier.table_multiplicities(args.r, args.s, d1, d3s,
+                                                tol=tol)
+        writer.writerows([d1_text, d3_text, count, derivation]
+                         for d3_text, (count, derivation)
+                         in zip(d3_texts, cells))
     _emit(buf.getvalue())
     return 0
 
@@ -378,12 +392,13 @@ def cmd_contour(args: argparse.Namespace) -> int:
 
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
     config = _load_usable_instance(args)
-    frame = canonical_frame(*config.Z, tol=args.tol)
+    frame = canonical_frame(*config.Z, tol=tol)
     if not frame.isosceles:
         raise PreconditionViolation("thresholds need an isosceles layout")
     if not classifier.equal_base_ranges(config.d[0], config.d[1],
-                                        config_scale(config), args.tol):
+                                        config_scale(config), tol):
         raise PreconditionViolation("thresholds need equal base ranges")
     d1 = (config.d[0] + config.d[1]) / 2.0
     bundle = thresholds.compute_bundle(frame.r, frame.s, d1, config.d[2])

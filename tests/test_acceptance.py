@@ -4,6 +4,7 @@ Each criterion reports a PASS/FAIL line in the terminal summary (see
 conftest).  Tolerances are pinned here and nowhere else.
 """
 import collections
+import hashlib
 import math
 import random
 import time
@@ -431,12 +432,24 @@ def _cell_multiplicity(capsys, r, s, d1, d3):
     return int(lines[1].split(",")[2])
 
 
+# SHA-256 of each map's 200-step sweep CSV: a change that keeps the maps
+# keeps these bytes.
+SWEEP_SHA256 = {
+    "eq": "cab839cd7353f032e653c9283fa299f0d8e1bf166f84b875e2f7a26e102d7b5b",
+    "s3": "069ab9afbe9b77159bb5adbe99d22b8dbd7f1f941136fdb353ed8309bcfab99a",
+    "s1": "a0e97d3f452244a6d1d09cabd5f6b92c7b5c653bf4dd239bfbb5a26e3d33efcd",
+}
+
+
 def test_criterion_9(capsys):
     for name, (r, s, (lo1, hi1), (lo3, hi3), expected_hist) in MAPS.items():
-        lines = _cli(capsys, ["sweep", "--r", repr(r), "--s", repr(s),
-                              "--d1", repr(lo1), repr(hi1),
-                              "--d3", repr(lo3), repr(hi3),
-                              "--steps", "200"])
+        rc = main(["sweep", "--r", repr(r), "--s", repr(s),
+                   "--d1", repr(lo1), repr(hi1),
+                   "--d3", repr(lo3), repr(hi3), "--steps", "200"])
+        out = capsys.readouterr().out
+        assert rc == 0, name
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[name]
+        lines = out.splitlines()
         hist = collections.Counter(int(line.split(",")[2])
                                    for line in lines[1:])
         assert dict(hist) == expected_hist, name

@@ -246,7 +246,7 @@ def test_table_multiplicity_matches_solve():
     apart = {}
     for s, d1, d3 in _table_cells(r):
         sol = solve_isosceles(r, s, d1, d3)
-        got = classifier.table_multiplicity(r, s, d1, d3)
+        (got,) = classifier.table_multiplicities(r, s, d1, [d3])
         if got != (sol.multiplicity, sol.derivation):
             apart[(s, d1, d3)] = (got, sol.multiplicity)
             assert got[1] == sol.derivation
@@ -256,14 +256,78 @@ def test_table_multiplicity_matches_solve():
     assert apart == _BAND_CELLS
 
 
+def _cell_by_cell(r, s, d1, d3s, tol=1e-9):
+    """The row as separate cells, each checking its inputs and scanning."""
+    out = []
+    for d3 in d3s:
+        s_cell, blocks, family = classifier._tables(r, s, d1, d3, d3, tol)
+        symbols, derivation = classifier._matched_rows(r, s_cell, d1, d3,
+                                                       blocks, family, tol)
+        out.append((len(symbols), derivation))
+    return out
+
+
+def _sweep_rows(r):
+    """(s, d1, d3s): seeded rows with unsorted and repeated d3 in the flat,
+    sharp and equilateral families, then the rows of ``_table_cells``."""
+    rng = random.Random(1313)
+    for s in (1.0, 0.6, 3.0, 2.2, S3):
+        for _ in range(40):
+            d3s = [rng.uniform(0.0, 12.0) for _ in range(30)]
+            d3s += rng.sample(d3s, 6) + [0.0]
+            rng.shuffle(d3s)
+            yield s, rng.uniform(0.05, 12.0), d3s
+    rows = {}
+    for s, d1, d3 in _table_cells(r):
+        rows.setdefault((s, d1), []).append(d3)
+    for (s, d1), d3s in rows.items():
+        yield s, d1, d3s
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 1e-6])
+def test_table_multiplicities_match_cell_by_cell(tol):
+    r = 2.0
+    families = set()
+    for s, d1, d3s in _sweep_rows(r):
+        got = classifier.table_multiplicities(r, s, d1, d3s, tol)
+        assert got == _cell_by_cell(r, s, d1, d3s, tol), (s, d1)
+        families.update(derivation.partition(":")[0] for _, derivation in got)
+    assert families == {"isosceles-flat", "isosceles-sharp", "equilateral"}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("d3s", [
+    [1.0, 2.0, -0.5, 3.0],
+    [1.0, math.inf, 2.0],
+    [1.0, 1e308, 2.0],
+    [1.0, math.nan, 2.0],
+    [1.0, math.nan, -1.0, 2.0],
+    [math.nan, 2.0, -1.0],
+    [2.0, -math.inf, math.nan],
+    [2.0, 1e308, -1.0],
+], ids=str)
+def test_table_multiplicities_fail_as_the_first_failing_cell(d3s):
+    r, s, d1 = 2.0, 3.0, 5.0
+    want = _outcome(lambda: _cell_by_cell(r, s, d1, d3s))
+    assert isinstance(want, tuple) and issubclass(want[0], Exception)
+    assert _outcome(
+        lambda: classifier.table_multiplicities(r, s, d1, d3s)) == want
+
+
 def test_tables_close_one_row_where_symbols_coincide():
     """At d3 = 2s/3 (N3 = Y0) and d3 = 2s (N3 = Y3) one row matches."""
     r, s = 2.0, 3.0
     for d1, block in ((0.5, "1"), (1.05, "2")):
-        assert classifier.table_multiplicity(r, s, d1, 2.0) == (
-            1, f"isosceles-sharp:{block}.1")
-    assert classifier.table_multiplicity(r, s, 0.5, 6.0) == (
-        1, "isosceles-sharp:1.2")
+        assert classifier.table_multiplicities(r, s, d1, [2.0]) == [
+            (1, f"isosceles-sharp:{block}.1")]
+    assert classifier.table_multiplicities(r, s, 0.5, [6.0]) == [
+        (1, "isosceles-sharp:1.2")]
     sol = solve_isosceles(r, s, 0.5, 6.0)
     assert [c.role for c in sol.points] == ["N3"]
 
@@ -315,7 +379,7 @@ def test_conditions_flat_apex_beyond_critical_base_at_m():
     r, s, d1 = 2.0, 0.87945, 2.0
     row = thresholds.row_thresholds(r, s, d1)
     assert d1 > row.P_flat
-    assert classifier.table_multiplicity(r, s, d1, row.M)[0] == 1
+    assert classifier.table_multiplicities(r, s, d1, [row.M])[0][0] == 1
     assert multiplicity_conditions(r, s, d1, row.M)[0] == 1
 
 

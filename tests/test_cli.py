@@ -15,6 +15,7 @@ from scipy import ndimage
 
 import trilat
 from conftest import MAP_WINDOWS, S3, sweep_axes
+from trilat import classifier
 from trilat.classifier import solve_isosceles
 from trilat.cli import (build_parser, main, parse_instance,
                         reconstruct_four_equal)
@@ -408,6 +409,43 @@ def test_sweep_rejects_bad_window(capsys):
                               "--d1", "1.0", "2.0", "--d3", "1.0", "2.0",
                               "--steps", "1"])
     assert rc == 3
+    for window in (["--d1", "1", "2", "--d3", "0", "inf"],
+                   ["--d1", "nan", "2", "--d3", "0", "1"]):
+        rc, out, err = run(capsys, ["sweep", "--r", "2", "--s", "3", *window])
+        assert rc == 3 and out == "", window
+        assert json.loads(err)["error"]["code"] == "schema", window
+
+
+def test_sweep_builds_the_tables_once_per_d1_row(capsys, monkeypatch):
+    rows = []
+    tables = classifier._tables
+
+    def counting(*args):
+        rows.append(args[2])
+        return tables(*args)
+
+    monkeypatch.setattr(classifier, "_tables", counting)
+    rc, out, _ = run(capsys, ["sweep", "--r", "2", "--s", "3",
+                              "--d1", "5", "6", "--d3", "4", "5",
+                              "--steps", "7"])
+    assert rc == 0 and len(out.splitlines()) == 1 + 7 * 7
+    assert rows == sweep_axes(5.0, 6.0, 4.0, 5.0, 7)[0]
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["solve", "sweep", "thresholds"])
+def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys, command, tol):
+    if command == "sweep":
+        argv = ["sweep", "--r", "2", "--s", "3", "--d1", "5", "6",
+                "--d3", "4", "5", "--steps", "2"]
+    else:
+        argv = [command, write_instance(tmp_path, FIVE_WAY_EXACT)]
+    rc, out, err = run(capsys, [*argv, f"--tol={tol}"])
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == {
+        "code": "schema",
+        "message": f"--tol must be finite and nonnegative, got {float(tol)!r}"}
+    assert run(capsys, [*argv, "--tol=0"])[0] == 0
 
 
 @pytest.mark.parametrize("name", sorted(MAP_WINDOWS))
