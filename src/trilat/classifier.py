@@ -271,7 +271,8 @@ def _tables(r: float, s: float, d1: float, d3_lo: float, d3_hi: float,
     scales form an interval, so the two ends pass the scale check exactly
     when every cell between them does.
     """
-    if r <= 0.0 or s <= 0.0 or d1 < 0.0 or d3_lo < 0.0:
+    # Written to refuse a NaN r, s or d1 too; a NaN d3 fails in the scan.
+    if not (r > 0.0 and s > 0.0 and d1 >= 0.0) or d3_lo < 0.0:
         raise PreconditionViolation("need r, s > 0 and nonnegative ranges")
     t3 = SQRT3_2 * r
     equilateral = abs(s - t3) <= tol * r
@@ -327,7 +328,7 @@ def table_multiplicities(r: float, s: float, d1: float, d3s: Sequence[float],
 def multiplicity_conditions(r: float, s: float, d1: float, d3: float,
                             tol: float = 1e-9) -> Tuple[int, str]:
     """Count of tied minimizers with the matched closed-form condition."""
-    if r <= 0.0 or s <= 0.0 or d1 < 0.0 or d3 < 0.0:
+    if not (r > 0.0 and s > 0.0 and d1 >= 0.0 and d3 >= 0.0):
         raise PreconditionViolation("need r, s > 0 and nonnegative ranges")
     eps = tol * (1.0 + r + s + d1 + abs(d3))
     t3 = SQRT3_2 * r

@@ -356,6 +356,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     if not all(map(math.isfinite, (lo1, hi1, lo3, hi3))):
         raise _SchemaError("sweep window ends must be finite")
+    # The cells step by the width, which overflows near the float limit.
+    if not all(map(math.isfinite, (hi1 - lo1, hi3 - lo3))):
+        raise _SchemaError("sweep window widths must be finite")
     if n < 2 or hi1 <= lo1 or hi3 <= lo3:
         raise _SchemaError("sweep needs at least 2 steps and increasing ranges")
     d1s = [lo1 + (hi1 - lo1) * i / (n - 1) for i in range(n)]

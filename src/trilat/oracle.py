@@ -74,11 +74,25 @@ def _sensor_arrays(config: SensorConfig) -> Tuple[np.ndarray, np.ndarray]:
     return zs, dsq
 
 
-def _evaluate(zs: np.ndarray, dsq: np.ndarray,
-              px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(px)
+def _evaluate(zs: np.ndarray, dsq: np.ndarray, px: np.ndarray,
+              py: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The objective at each point, accumulated in ``out`` if given.
+
+    Refine rounds pass the children's slice of their candidate array, so
+    they allocate no array of that size: fresh ones arrive from the
+    allocator as new pages, whose faults cost about half as much CPU as
+    the arithmetic.
+    """
+    acc = np.empty_like(px) if out is None else out
+    acc.fill(0.0)
+    term = np.empty_like(px)
+    part = np.empty_like(px)
     for (zx, zy), dj2 in zip(zs, dsq):
-        acc += np.abs((px - zx) ** 2 + (py - zy) ** 2 - dj2)
+        np.square(np.subtract(px, zx, out=term), out=term)
+        np.square(np.subtract(py, zy, out=part), out=part)
+        term += part
+        term -= dj2
+        acc += np.abs(term, out=term)
     return acc
 
 
@@ -115,19 +129,20 @@ def _prune(px: np.ndarray, py: np.ndarray, vals: np.ndarray, vmin: float,
 
     The last item is how many cells within the cut the cap dropped.
     """
-    cut = vmin + max(band, lip * cell)
-    keep = vals <= cut
-    px, py, vals = px[keep], py[keep], vals[keep]
-    dropped = max(px.size - _SURVIVOR_CAP, 0)
+    keep = vals <= vmin + max(band, lip * cell)
+    dropped = max(int(np.count_nonzero(keep)) - _SURVIVOR_CAP, 0)
     if dropped:
-        # Only cells up to the cap-th smallest value, ties at it included,
-        # can make the cut, and they keep their relative index order, so
-        # sorting them alone keeps what a full (vals, px, py) sort keeps.
+        # More cells than the cap make the cut, so the cap-th smallest value
+        # among them is the cap-th smallest of all.  Only cells up to it,
+        # ties at it included, can make the cap, and they keep their index
+        # order, so sorting them alone keeps what a full (vals, px, py) sort
+        # of the cut keeps.
         kth = np.partition(vals, _SURVIVOR_CAP - 1)[_SURVIVOR_CAP - 1]
         sel = np.flatnonzero(vals <= kth)
-        order = sel[np.lexsort((py[sel], px[sel], vals[sel]))[:_SURVIVOR_CAP]]
-        px, py, vals = px[order], py[order], vals[order]
-    return px, py, vals, dropped
+        sel = sel[np.lexsort((py[sel], px[sel], vals[sel]))[:_SURVIVOR_CAP]]
+    else:
+        sel = np.flatnonzero(keep)
+    return px[sel], py[sel], vals[sel], dropped
 
 
 # Forward neighbours of a cell: itself and four of its eight neighbours, so
@@ -135,14 +150,14 @@ def _prune(px: np.ndarray, py: np.ndarray, vals: np.ndarray, vmin: float,
 _FORWARD_CELLS = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
 
 
-def _cluster(px: np.ndarray, py: np.ndarray, radius: float) -> List[List[int]]:
+def _cluster(px: np.ndarray, py: np.ndarray, radius: float) -> np.ndarray:
     """Connected components of the graph linking points within ``radius``.
 
-    Returns the components as ascending index lists, ordered by their least
-    index.  The points are bucketed into square cells and only points in
-    the same or neighbouring cells are compared, so the work is linear in
-    the number of points and candidate pairs.  The result is exactly that
-    of comparing all pairs:
+    Returns each point's component number; the components are numbered
+    from 0 in the order of their least index.  The points are bucketed
+    into square cells and only points in the same or neighbouring cells
+    are compared, so the work is linear in the number of points and
+    candidate pairs.  The result is exactly that of comparing all pairs:
 
     - Cells are at least ``radius`` wide: the side is ``radius * (1 +
       1e-9)`` plus 1e-15 of the points' span, which covers the rounding of
@@ -152,14 +167,20 @@ def _cluster(px: np.ndarray, py: np.ndarray, radius: float) -> List[List[int]]:
       2^-30 of the span, so cell keys fit in 64 bits.
     - A candidate pair is linked by the same test, ``dx*dx + dy*dy <=
       radius*radius``, that an all-pairs comparison makes.
-    - Labels start as indices.  Each round lowers the label held at a
-      link's label to the least label across the link, then every point
-      takes its label's label; at the fixed point the labels are equal
-      across every link and each is its component's least index.
+    - The components are found on positions in cell-key order, so no
+      index is mapped back until the end.  Every point starts as its own
+      root.  The links to each forward neighbour cell in turn move onto
+      their ends' roots, and a link whose ends share a root is dropped.
+      Each round then hooks the greater root of every link left to the
+      lesser one (a root with several such links takes any one of them),
+      jumps every pointer to its root, and moves the links onto the new
+      roots.  Every round hooks at least one root, so the rounds stop when
+      no link is left; the roots are then numbered by their components'
+      least indices.
     """
     n = px.size
     if n == 0:
-        return []
+        return np.zeros(0, dtype=np.intp)
     x0, y0 = float(px.min()), float(py.min())
     span = max(float(px.max()) - x0, float(py.max()) - y0)
     side = max(radius * (1.0 + 1e-9) + 1e-15 * span, span * 2.0 ** -30) or 1.0
@@ -168,9 +189,9 @@ def _cluster(px: np.ndarray, py: np.ndarray, radius: float) -> List[List[int]]:
     stride = int(cy.max()) + 2  # so no point has the key of (cx + 1, -1)
     key = cx * stride + cy
     order = np.argsort(key, kind="stable")
-    skey = key[order]
+    skey, sx, sy = key[order], px[order], py[order]
     pos = np.arange(n)
-    ii, jj = [], []
+    root = pos.copy()
     for ox, oy in _FORWARD_CELLS:
         target = skey + (ox * stride + oy)
         lo = np.searchsorted(skey, target, side="left")
@@ -181,28 +202,48 @@ def _cluster(px: np.ndarray, py: np.ndarray, radius: float) -> List[List[int]]:
         total = int(counts.sum())
         if total == 0:
             continue
-        first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        ii.append(np.repeat(pos, counts))
-        jj.append(first + np.arange(total))
-    labels = pos
-    if ii:
-        a = order[np.concatenate(ii)]
-        b = order[np.concatenate(jj)]
-        dx = px[a] - px[b]
-        dy = py[a] - py[b]
-        close = dx * dx + dy * dy <= radius * radius
-        a, b = a[close], b[close]
+        a = np.repeat(pos, counts)
+        b = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        b += np.arange(total)
+        dx = np.repeat(sx, counts)
+        dx -= sx[b]
+        dx *= dx
+        dy = np.repeat(sy, counts)
+        dy -= sy[b]
+        dy *= dy
+        dx += dy  # dx*dx + dy*dy
+        close = np.flatnonzero(dx <= radius * radius)
+        a, b = root[a[close]], root[b[close]]
         while True:
-            new = labels.copy()
-            np.minimum.at(new, labels[a], labels[b])
-            np.minimum.at(new, labels[b], labels[a])
-            new = new[new]
-            if np.array_equal(new, labels):
+            live = a != b
+            a, b = a[live], b[live]
+            if a.size == 0:
                 break
-            labels = new
-    members = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[members], prepend=-1))
-    return [g.tolist() for g in np.split(members, starts[1:])]
+            root[np.maximum(a, b)] = np.minimum(a, b)
+            while True:
+                up = root[root]
+                if np.array_equal(up, root):
+                    break
+                root = up
+            a, b = root[a], root[b]
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = root
+    # Number the components by their least indices.
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
+def _representatives(px: np.ndarray, py: np.ndarray, vals: np.ndarray,
+                     labels: np.ndarray) -> np.ndarray:
+    """Index of each component's least (vals, px, py), in component order.
+
+    The sort is stable, so on a tie in all three the least index wins.
+    """
+    order = np.lexsort((py, px, vals, labels))
+    return order[np.flatnonzero(np.diff(labels[order], prepend=-1))]
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -335,53 +376,47 @@ def brute_force_minimize(config: SensorConfig,
     for rnd in range(spec.refine_rounds):
         ox = ((np.arange(m) + 0.5) / m - 0.5) * dx
         oy = ((np.arange(m) + 0.5) / m - 0.5) * dy
-        cx = (px[:, None, None] + ox[None, :, None]
-              + np.zeros((1, 1, m))).ravel()
-        cy = (py[:, None, None] + np.zeros((1, m, 1))
-              + oy[None, None, :]).ravel()
-        allx = np.concatenate([cx, px])
-        ally = np.concatenate([cy, py])
-        vals = _evaluate(zs, dsq, allx, ally)
+        # The children, then their parents.  Child (k, i, j) of parent k
+        # sits at (px[k] + ox[i], py[k] + oy[j]); the parents keep their
+        # values, as _evaluate is elementwise.
+        k, c = px.size, px.size * m * m  # parents, children
+        allx, ally, allv = (np.empty(c + k) for _ in range(3))
+        allx[:c].reshape(k, m, m)[...] = (px[:, None] + ox)[:, :, None]
+        ally[:c].reshape(k, m, m)[...] = (py[:, None] + oy)[:, None, :]
+        allx[c:], ally[c:], allv[c:] = px, py, vals
+        _evaluate(zs, dsq, allx[:c], ally[:c], out=allv[:c])
+        px, py, vals = allx, ally, allv
         vmin = float(vals.min())
         dx /= m
         dy /= m
         cell = math.hypot(dx, dy)
         final = rnd == spec.refine_rounds - 1
         band = (1e-6 if final else 1e-3) * (1.0 + abs(vmin))
-        px, py, vals, dropped = _prune(allx, ally, vals, vmin, band, lip,
-                                       cell)
+        px, py, vals, dropped = _prune(px, py, vals, vmin, band, lip, cell)
         capped_out += dropped
         round_values.append(vmin)
 
     cluster_radius = 2.0 * cell
-    groups = _cluster(px, py, cluster_radius)
-    reps: List[Tuple[float, float]] = []
-    for group in groups:
-        best = min(group, key=lambda i: (vals[i], px[i], py[i]))
-        reps.append((float(px[best]), float(py[best])))
+    labels = _cluster(px, py, cluster_radius)
+    best = _representatives(px, py, vals, labels)
 
     window = 32.0 * cell
     terms, dsq_terms = zs.tolist(), dsq.tolist()
     refined: List[Tuple[float, float, float]] = []
-    for x, y in reps:
+    for x, y in zip(px[best].tolist(), py[best].tolist()):
         qx, qy = _refine_rep(config, terms, dsq_terms, x, y, window)
         refined.append((qx, qy, _objective_scalar(terms, dsq_terms, qx, qy)))
     global_value = min(v for _, _, v in refined)
     # After snapping, converged values are exact to rounding, so a tight
     # band separates genuine ties from valley stragglers.
     cut = global_value + 1e-9 * (1.0 + abs(global_value))
-    refined = [p for p in refined if p[2] <= cut]
+    qx, qy, qv = np.array([p for p in refined if p[2] <= cut]).T
 
     # Refinement can merge neighbouring representatives; cluster once more.
-    qx = np.array([p[0] for p in refined])
-    qy = np.array([p[1] for p in refined])
-    qv = np.array([p[2] for p in refined])
-    groups = _cluster(qx, qy, cluster_radius)
-    minima: List[Tuple[Point2, float]] = []
-    for group in groups:
-        best = min(group, key=lambda i: (qv[i], qx[i], qy[i]))
-        minima.append((Point2(float(qx[best]), float(qy[best])),
-                       float(qv[best])))
+    labels = _cluster(qx, qy, cluster_radius)
+    best = _representatives(qx, qy, qv, labels)
+    minima = [(Point2(x, y), v) for x, y, v
+              in zip(qx[best].tolist(), qy[best].tolist(), qv[best].tolist())]
     minima.sort(key=lambda entry: (entry[0].x, entry[0].y))
     return OracleResult(tuple(minima), cluster_radius, global_value,
                         tuple(round_values), capped_out)

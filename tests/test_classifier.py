@@ -11,7 +11,8 @@ from trilat import classifier, geometry, thresholds
 from trilat.classifier import (CandidatePoint, SolutionSet,
                                multiplicity_conditions, solve, solve_general,
                                solve_isosceles)
-from trilat.errors import DegenerateTriangle, MissingIntersection
+from trilat.errors import (DegenerateTriangle, MissingIntersection,
+                           PreconditionViolation)
 from trilat.geometry import (Point2, SensorConfig, canonical_frame,
                              centroid_points, circle_circle_intersect,
                              config_scale, distance)
@@ -318,6 +319,20 @@ def test_table_multiplicities_fail_as_the_first_failing_cell(d3s):
     assert isinstance(want, tuple) and issubclass(want[0], Exception)
     assert _outcome(
         lambda: classifier.table_multiplicities(r, s, d1, d3s)) == want
+
+
+@pytest.mark.parametrize("r,s,d1", [(2.0, math.nan, 5.0),
+                                     (math.nan, 3.0, 5.0),
+                                     (2.0, 3.0, math.nan)], ids=str)
+def test_a_nan_layout_is_refused_as_a_precondition(r, s, d1):
+    """A NaN r, s or d1 names the layout, not a missing table row."""
+    for call in (lambda: solve_isosceles(r, s, d1, 4.0),
+                 lambda: classifier.table_multiplicities(r, s, d1, [4.0, 5.0]),
+                 lambda: classifier.multiplicity_conditions(r, s, d1, 4.0)):
+        with pytest.raises(PreconditionViolation, match="need r, s > 0"):
+            call()
+    with pytest.raises(PreconditionViolation, match="need r, s > 0"):
+        classifier.multiplicity_conditions(2.0, 3.0, 5.0, math.nan)
 
 
 def test_tables_close_one_row_where_symbols_coincide():

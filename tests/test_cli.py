@@ -416,6 +416,29 @@ def test_sweep_rejects_bad_window(capsys):
         assert json.loads(err)["error"]["code"] == "schema", window
 
 
+def test_sweep_refuses_a_window_whose_width_overflows(capsys):
+    """Finite ends 2.2e308 apart: the cells would step by inf."""
+    end = "1" * 309
+    for window in (["--d1", "-" + end, end, "--d3", "4", "5"],
+                   ["--d1", "5", "6", "--d3", "-" + end, end]):
+        rc, out, err = run(capsys, ["sweep", "--r", "2", "--s", "3", *window,
+                                    "--steps", "2"])
+        assert rc == 3 and out == "", window
+        assert json.loads(err)["error"] == {
+            "code": "schema",
+            "message": "sweep window widths must be finite"}, window
+
+
+def test_sweep_refuses_a_nan_apex(capsys):
+    rc, out, err = run(capsys, ["sweep", "--r", "2", "--s", "nan",
+                                "--d1", "5", "6", "--d3", "4", "5",
+                                "--steps", "2"])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "code": "PreconditionViolation",
+        "message": "need r, s > 0 and nonnegative ranges"}
+
+
 def test_sweep_builds_the_tables_once_per_d1_row(capsys, monkeypatch):
     rows = []
     tables = classifier._tables

@@ -186,12 +186,81 @@ def _point_sets():
         keep = np.sort(gen.choice(allx.size, 1200, replace=False))
         yield (f"refine-round-m{m}", allx[keep], ally[keep],
                2.0 * math.hypot(dx / m, dy / m))
+    # survivors of the final round, clustered at 2 * hypot(dx, dy) of the
+    # child spacing; the spacings are dyadic in the ratio 3:4, so the
+    # hypotenuse is exact and children two steps apart along a diagonal
+    # lie at exactly the radius
+    for m in (4, 2):
+        gen = np.random.default_rng(10 + m)
+        dx, dy = 0.375 * 2.0 ** -6, 0.5 * 2.0 ** -6
+        cells = np.unique(gen.integers(0, 30, (120, 2)), axis=0)
+        px = 1.5 + (cells[:, 0] + 0.5) * (m * dx)
+        py = -0.25 + (cells[:, 1] + 0.5) * (m * dy)
+        ox = ((np.arange(m) + 0.5) / m - 0.5) * (m * dx)
+        oy = ((np.arange(m) + 0.5) / m - 0.5) * (m * dy)
+        cx = np.repeat(px[:, None] + ox, m)
+        cy = np.tile(py[:, None] + oy, m)
+        allx = np.concatenate([cx, px])
+        ally = np.concatenate([cy.ravel(), py])
+        keep = np.sort(gen.choice(allx.size, allx.size // 2, replace=False))
+        yield (f"final-round-m{m}", allx[keep], ally[keep],
+               2.0 * math.hypot(dx, dy))
+
+
+def _groups(labels):
+    """Component numbers as index lists, in component order."""
+    return [np.flatnonzero(labels == k).tolist()
+            for k in range(int(labels.max(initial=-1)) + 1)]
 
 
 @pytest.mark.parametrize("px,py,radius", [pytest.param(*case[1:], id=case[0])
                                           for case in _point_sets()])
 def test_cluster_matches_all_pairs_reference(px, py, radius):
-    assert oracle._cluster(px, py, radius) == _reference_cluster(px, py, radius)
+    labels = oracle._cluster(px, py, radius)
+    assert labels.shape == px.shape
+    assert _groups(labels) == _reference_cluster(px, py, radius)
+
+
+def test_final_round_sets_hinge_on_pairs_at_exactly_the_radius():
+    """Some of their components join only across a diagonal pair at exactly
+    the radius, so a strict distance test would split them."""
+    for name, px, py, radius in _point_sets():
+        if name.startswith("final-round"):
+            dx = px[:, None] - px[None, :]
+            dy = py[:, None] - py[None, :]
+            diagonal = (dx != 0.0) & (dy != 0.0)
+            assert np.any(diagonal & (dx * dx + dy * dy == radius * radius))
+            below = np.nextafter(radius, 0.0)
+            assert (_reference_cluster(px, py, radius)
+                    != _reference_cluster(px, py, below)), name
+
+
+def _reference_representatives(px, py, vals, groups):
+    """Each group's pick as brute_force_minimize once made it."""
+    return [min(group, key=lambda i: (vals[i], px[i], py[i]))
+            for group in groups]
+
+
+@pytest.mark.parametrize("ties", ["none", "vals", "vals+px", "all"])
+def test_representatives_match_the_per_group_min(ties):
+    rng = np.random.default_rng(len(ties))
+    for trial in range(40):
+        n = int(rng.integers(1, 300))
+        vals, px, py = rng.uniform(-1.0, 1.0, (3, n))
+        if ties != "none":
+            vals = rng.integers(0, 3, n).astype(float)
+        if ties in ("vals+px", "all"):
+            px = rng.choice([-0.0, 0.0, 0.5], n)
+        if ties == "all":
+            py = rng.choice([-1.0, 2.0], n)
+        # components numbered in the order of their least index
+        raw = rng.integers(0, int(rng.integers(1, 12)), n)
+        _, first, inverse = np.unique(raw, return_index=True,
+                                      return_inverse=True)
+        labels = np.argsort(np.argsort(first))[inverse]
+        want = _reference_representatives(px, py, vals, _groups(labels))
+        got = oracle._representatives(px, py, vals, labels)
+        assert got.tolist() == want, trial
 
 
 def test_objective_scalar_on_floats_is_bit_identical():
@@ -225,6 +294,96 @@ def _seeded_general_layout(index):
         d = tuple(rng.uniform(0.3, 8.0) for _ in range(3))
         drawn += 1
     return SensorConfig(tuple(pts), d)
+
+
+def _minimize_reevaluating_parents(config, spec):
+    """brute_force_minimize with its former child build and representative
+    pick: each refine round evaluates the parents again beside their
+    children, and each cluster keeps min(group, key=(vals, px, py))."""
+    zs, dsq = oracle._sensor_arrays(config)
+    xmin, xmax, ymin, ymax = spec.bounds
+    corners = [(xmin, ymin), (xmin, ymax), (xmax, ymin), (xmax, ymax)]
+    lip = sum(2.0 * max(math.hypot(cx - z.x, cy - z.y) for cx, cy in corners)
+              for z in config.Z)
+    n = spec.resolution
+    dx = (xmax - xmin) / n
+    dy = (ymax - ymin) / n
+    gx = xmin + (np.arange(n) + 0.5) * dx
+    gy = ymin + (np.arange(n) + 0.5) * dy
+    xx, yy = np.meshgrid(gx, gy, indexing="ij")
+    px, py = xx.ravel(), yy.ravel()
+    vals = oracle._evaluate(zs, dsq, px, py)
+    vmin = float(vals.min())
+    round_values = [vmin]
+    cell = math.hypot(dx, dy)
+    px, py, vals, capped_out = oracle._prune(px, py, vals, vmin,
+                                             1e-3 * (1.0 + abs(vmin)), lip,
+                                             cell)
+    m = max(2, int(round(spec.refine_factor)))
+    for rnd in range(spec.refine_rounds):
+        ox = ((np.arange(m) + 0.5) / m - 0.5) * dx
+        oy = ((np.arange(m) + 0.5) / m - 0.5) * dy
+        cx = (px[:, None, None] + ox[None, :, None]
+              + np.zeros((1, 1, m))).ravel()
+        cy = (py[:, None, None] + np.zeros((1, m, 1))
+              + oy[None, None, :]).ravel()
+        allx = np.concatenate([cx, px])
+        ally = np.concatenate([cy, py])
+        vals = oracle._evaluate(zs, dsq, allx, ally)
+        vmin = float(vals.min())
+        dx /= m
+        dy /= m
+        cell = math.hypot(dx, dy)
+        final = rnd == spec.refine_rounds - 1
+        band = (1e-6 if final else 1e-3) * (1.0 + abs(vmin))
+        px, py, vals, dropped = oracle._prune(allx, ally, vals, vmin, band,
+                                              lip, cell)
+        capped_out += dropped
+        round_values.append(vmin)
+    cluster_radius = 2.0 * cell
+    groups = _groups(oracle._cluster(px, py, cluster_radius))
+    window = 32.0 * cell
+    terms, dsq_terms = zs.tolist(), dsq.tolist()
+    refined = []
+    for best in _reference_representatives(px, py, vals, groups):
+        qx, qy = oracle._refine_rep(config, terms, dsq_terms, float(px[best]),
+                                    float(py[best]), window)
+        refined.append((qx, qy, oracle._objective_scalar(terms, dsq_terms,
+                                                         qx, qy)))
+    global_value = min(v for _, _, v in refined)
+    cut = global_value + 1e-9 * (1.0 + abs(global_value))
+    refined = [p for p in refined if p[2] <= cut]
+    qx = np.array([p[0] for p in refined])
+    qy = np.array([p[1] for p in refined])
+    qv = np.array([p[2] for p in refined])
+    groups = _groups(oracle._cluster(qx, qy, cluster_radius))
+    minima = [(Point2(float(qx[b]), float(qy[b])), float(qv[b]))
+              for b in _reference_representatives(qx, qy, qv, groups)]
+    minima.sort(key=lambda entry: (entry[0].x, entry[0].y))
+    return oracle.OracleResult(tuple(minima), cluster_radius, global_value,
+                               tuple(round_values), capped_out)
+
+
+def test_children_only_rounds_match_reevaluating_the_parents(five_way_exact):
+    """General, isosceles, noisy and five-way layouts, refine factors 4
+    and 3 (odd: the middle child sits on its parent)."""
+    rng = random.Random(15)
+    configs = [five_way_exact]
+    configs += [_seeded_general_layout(k) for k in range(9)]
+    for _ in range(9):
+        r, s = rng.uniform(0.5, 4.0), rng.uniform(0.2, 4.0)
+        configs.append(canonical(r, s, rng.uniform(0.05, 10.0),
+                                 rng.uniform(0.05, 10.0)))
+    configs.append(generate_instance(Point2(0.2, 0.7), configs[1].Z,
+                                     NoiseSpec("uniform", 0.25), seed=3))
+    capped = 0
+    for k, cfg in enumerate(configs):
+        spec = default_grid(cfg, resolution=64 + 8 * (k % 5), refine_rounds=5,
+                            refine_factor=3.0 if k % 3 == 2 else 4.0)
+        got = brute_force_minimize(cfg, spec)
+        assert got == _minimize_reevaluating_parents(cfg, spec), k
+        capped += got.capped_out > 0
+    assert len(configs) == 20 and capped >= 10
 
 
 def test_refinement_work_on_a_valley_layout(monkeypatch):
