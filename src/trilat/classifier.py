@@ -452,7 +452,7 @@ def solve_general(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
                 candidates.append((z.x, z.y, "RegionProjection"))
             continue
         norm = distance(anchor, z)
-        if norm <= eps:
+        if norm == 0.0:
             continue
         for t in (d / norm, -d / norm):
             x, y = z.x + t * (anchor.x - z.x), z.y + t * (anchor.y - z.y)

@@ -142,6 +142,8 @@ def _sensors_from(obj: Dict[str, Any]) -> Tuple[Point2, Point2, Point2]:
             raise _SchemaError("'sensors' must list three [x, y] pairs")
         return tuple(_as_point(p, "sensor") for p in raw)  # type: ignore
     source = obj["canonical"] if keys[0] == "canonical" else obj
+    if not isinstance(source, dict):
+        raise _SchemaError("'canonical' must be an object with r and s")
     r = _as_number(source.get("r"), "r")
     s = _as_number(source.get("s"), "s")
     if r <= 0 or s <= 0:
@@ -450,6 +452,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses options it cannot parse as malformed input (exit 3)."""
+
+    def error(self, message: str) -> None:  # type: ignore[override]
+        raise _SchemaError(f"{self.prog}: {message}")
+
+
 def _add_instance(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("instance",
                         help="path to a JSON instance file, or - for stdin")
@@ -463,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     Each subcommand declares only the options it reads.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trilat",
         description="exact minimizer sets for three-sensor ranging")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -516,9 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         # Flush here, so a closed stdout raises inside this try block.
         sys.stdout.flush()

@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoundsTooSmall
+from .errors import BoundsTooSmall, ConcentricIdentical
 from .geometry import Point2, SensorConfig, circle_circle_intersect
 # Instances for the oracle are still drawn as oracle.generate_instance.
 from .geometry import NoiseSpec, generate_instance  # noqa: F401
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SURVIVOR_CAP = 2048
 
 
@@ -101,9 +100,9 @@ def _objective_scalar(zs: _Terms, dsq: Sequence[float],
     """The objective at one point, on plain floats.
 
     Callers pass ``zs.tolist()`` and ``dsq.tolist()``: Python floats round
-    exactly as numpy scalars do, at a fraction of the cost, and refinement
-    makes ~160 calls per representative (the 1,000 acceptance-suite draws
-    at 192^2 x 6).
+    exactly as numpy scalars do, at a fraction of the cost.  Refinement and
+    the final value take at most 26 calls per representative, ~3.4 on
+    average (the 1,000 acceptance-suite draws at 192^2 x 6).
     """
     total = 0.0
     for (zx, zy), dj2 in zip(zs, dsq):
@@ -246,51 +245,49 @@ def _representatives(px: np.ndarray, py: np.ndarray, vals: np.ndarray,
     return order[np.flatnonzero(np.diff(labels[order], prepend=-1))]
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(60):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-    return (lo + hi) / 2.0
-
-
-def _vertex_snap(config: SensorConfig, zs: _Terms, dsq: Sequence[float],
-                 x: float, y: float, window: float) -> Tuple[float, float]:
-    """Exact local refinement at nonsmooth points.
+def _refine_rep(config: SensorConfig, zs: _Terms, dsq: Sequence[float],
+                x: float, y: float, window: float) -> Tuple[float, float]:
+    """Move a representative to the best exact kink point near it, if lower.
 
     A representative near a nonsmooth minimum sits near one or two
-    measurement circles; try the radial projection onto each nearby circle
-    and the crossings of nearby pairs, keeping whichever candidate lowers
-    the value.
+    measurement circles, those within ``window`` of it.  On circle j,
+
+        |W - Zi|^2 = |W - Zj|^2 + 2 (W - Zj).(Zj - Zi) + |Zj - Zi|^2
+                   = dj^2 + 2 (W - Zj).(Zj - Zi) + |Zj - Zi|^2,
+
+    so each other term |di^2 - |W - Zi|^2| is linear in W while its sign
+    holds, and O is c + 2 (W - Zj).u for one of u = +-(Zi + Zk - 2 Zj) or
+    u = +-(Zi - Zk).  Along an arc of fixed signs the extremes therefore lie
+    at Zj +- dj u / |u|.  A minimum on the arc is either there or where a
+    sign changes, on the crossing with another circle.  The candidates are
+    Zj +- dj u / |u| on each nearby circle, for these two u and for
+    u = W - Zj, whose + point is the circle's nearest point, and the
+    crossings of each nearby pair.  The lowest of them within ``4 * window``
+    wins if it is lower than the representative.
     """
-    active = [j for j, (z, d) in enumerate(zip(config.Z, config.d))
-              if abs(math.hypot(x - z.x, y - z.y) - d) <= window]
+    near = [j for j, ((zx, zy), dj) in enumerate(zip(zs, config.d))
+            if abs(math.hypot(x - zx, y - zy) - dj) <= window]
     candidates: List[Tuple[float, float]] = []
-    for j in active:
-        z, d = config.Z[j], config.d[j]
-        norm = math.hypot(x - z.x, y - z.y)
-        if norm > 0.0 and d > 0.0:
-            t = d / norm
-            candidates.append((z.x + t * (x - z.x), z.y + t * (y - z.y)))
+    for j in near:
+        (zx, zy), dj = zs[j], config.d[j]
+        (ix, iy), (kx, ky) = (zs[i] for i in range(3) if i != j)
+        for ux, uy in ((x - zx, y - zy), (ix + kx - 2.0 * zx,
+                                          iy + ky - 2.0 * zy),
+                       (ix - kx, iy - ky)):
+            norm = math.hypot(ux, uy)
+            if norm > 0.0:
+                t = dj / norm
+                candidates += [(zx + t * ux, zy + t * uy),
+                               (zx - t * ux, zy - t * uy)]
     circles = config.circles()
-    for a in range(len(active)):
-        for b in range(a + 1, len(active)):
-            i, j = active[a], active[b]
+    for a, i in enumerate(near):
+        for j in near[a + 1:]:
             try:
                 pair = circle_circle_intersect(circles[i], circles[j],
                                                config.Z[3 - i - j])
-            except Exception:
+            except ConcentricIdentical:
                 continue
-            for p in pair.points():
-                candidates.append((p.x, p.y))
+            candidates += [(p.x, p.y) for p in pair.points()]
     best_x, best_y = x, y
     best = _objective_scalar(zs, dsq, x, y)
     for cx, cy in candidates:
@@ -300,48 +297,6 @@ def _vertex_snap(config: SensorConfig, zs: _Terms, dsq: Sequence[float],
         if val < best:
             best_x, best_y, best = cx, cy, val
     return best_x, best_y
-
-
-def _arc_descend(config: SensorConfig, zs: _Terms, dsq: Sequence[float],
-                 x: float, y: float, window: float) -> Tuple[float, float]:
-    """Slide along each nearby measurement circle to lower the value.
-
-    Valleys of the objective run along circle arcs, where line searches in
-    fixed directions make little progress; a golden-section search in the
-    arc angle follows the valley directly.
-    """
-    best = _objective_scalar(zs, dsq, x, y)
-    for z, d in zip(config.Z, config.d):
-        if d <= 0.0 or abs(math.hypot(x - z.x, y - z.y) - d) > window:
-            continue
-        theta = math.atan2(y - z.y, x - z.x)
-        span = min(0.3, max(64.0 * window / d, 1e-7))
-
-        def on_arc(phi: float, z=z, d=d, theta=theta) -> float:
-            return _objective_scalar(zs, dsq, z.x + d * math.cos(theta + phi),
-                                     z.y + d * math.sin(theta + phi))
-
-        phi = _golden_min(on_arc, -span, span)
-        val = on_arc(phi)
-        if val < best:
-            x = z.x + d * math.cos(theta + phi)
-            y = z.y + d * math.sin(theta + phi)
-            best = val
-    return x, y
-
-
-def _refine_rep(config: SensorConfig, zs: _Terms, dsq: Sequence[float],
-                x: float, y: float, window: float) -> Tuple[float, float]:
-    """Local refinement: alternate vertex snaps and arc descents, then snap."""
-    best = _objective_scalar(zs, dsq, x, y)
-    for _ in range(12):
-        x, y = _vertex_snap(config, zs, dsq, x, y, window)
-        x, y = _arc_descend(config, zs, dsq, x, y, window)
-        val = _objective_scalar(zs, dsq, x, y)
-        if val >= best - 1e-14 * (1.0 + abs(best)):
-            break
-        best = val
-    return _vertex_snap(config, zs, dsq, x, y, window)
 
 
 def brute_force_minimize(config: SensorConfig,

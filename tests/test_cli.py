@@ -143,6 +143,47 @@ def test_unreadable_and_malformed_files(tmp_path, capsys):
     assert rc == 3 and "JSON" in json.loads(err)["error"]["message"]
 
 
+def test_sensors_far_closer_than_the_ranges_solve(tmp_path, capsys):
+    """Once a traceback: the general scan skipped every radial projection
+    whose anchor lay within its tolerance of its sensor, leaving no
+    candidate."""
+    obj = {"sensors": [[0, 0], [1e-12, 0], [0, 1e-12]], "d": [1, 1.5, 2]}
+    rc, out, err = run(capsys, ["solve", write_instance(tmp_path, obj)])
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["multiplicity"] >= 1
+    assert abs(payload["objective"] - 3.0) < 1e-9
+
+
+@pytest.mark.parametrize("command", ["solve", "thresholds", "oracle",
+                                     "contour"])
+def test_canonical_given_as_a_list_exits_3(tmp_path, capsys, command):
+    obj = {"canonical": [1, 2], "d": [1, 1, 1]}
+    rc, out, err = run(capsys, [command, write_instance(tmp_path, obj)])
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"]["code"] == "schema"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--r", "2", "--s", "3", "--d1", "1", "2", "--d3", "1", "2",
+     "--steps", "abc"],                                    # bad int
+    ["sweep", "--r", "2", "--s", "3", "--d1", "1", "2"],   # missing --d3
+    ["frobnicate"],                                        # unknown command
+])
+def test_unparseable_options_exit_3_with_json(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 3 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["code"] == "schema"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--steps" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e300])
 def test_extreme_scales_exit_2(tmp_path, capsys, scale):
     """The square of the length scale must be a finite normal float."""

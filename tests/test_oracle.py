@@ -388,20 +388,41 @@ def test_children_only_rounds_match_reevaluating_the_parents(five_way_exact):
 
 def test_refinement_work_on_a_valley_layout(monkeypatch):
     """A valley layout whose 38 representatives once took 194,826 scalar
-    evaluations, almost all in line searches, to keep one minimum."""
-    calls = []
-    scalar = oracle._objective_scalar
+    evaluations, almost all in line searches, to keep one minimum.
+
+    Each representative now costs at most 26 evaluations: itself, 6 points
+    on each of 3 circles, 2 crossings for each of 3 pairs, and its final
+    value."""
+    calls, reps = [], []
+    scalar, refine = oracle._objective_scalar, oracle._refine_rep
 
     def counting(zs, dsq, x, y):
         calls.append(1)
         return scalar(zs, dsq, x, y)
 
+    def counting_reps(*args):
+        reps.append(1)
+        return refine(*args)
+
     monkeypatch.setattr(oracle, "_objective_scalar", counting)
+    monkeypatch.setattr(oracle, "_refine_rep", counting_reps)
     cfg = _seeded_general_layout(32)
     res = brute_force_minimize(cfg, default_grid(cfg, resolution=192,
                                                  refine_rounds=6))
     assert len(res.minima) == 1
-    assert len(calls) < 20000
+    assert reps and len(calls) <= (1 + 3 * 6 + 3 * 2 + 1) * len(reps)
+
+
+def test_coincident_sensors_with_equal_ranges_refine():
+    """Two sensors share a circle, so that pair's crossing is a continuum;
+    the refinement skips the pair and snaps to the other two crossings."""
+    cfg = SensorConfig((Point2(0.0, 0.0), Point2(0.0, 0.0), Point2(0.0, 1.0)),
+                       (1.0, 1.0, 1.0))
+    res = brute_force_minimize(cfg, default_grid(cfg, resolution=64,
+                                                 refine_rounds=2))
+    assert [(round(p.x, 12), round(p.y, 12)) for p, _ in res.minima] == [
+        (round(-S3 / 2, 12), 0.5), (round(S3 / 2, 12), 0.5)]
+    assert res.global_value < 1e-15
 
 
 class TestSurvivorCap:
