@@ -33,6 +33,11 @@ _PAIRS: Tuple[Tuple[str, int, int, int], ...] = (
 _PAIR_BY_ROLE = {name + side: (i, j, k, side == "plus")
                  for name, i, j, k in _PAIRS for side in ("plus", "minus")}
 
+# The cyclic relabelings of the sensors; each puts a different pair at the
+# base.
+_RELABELINGS: Tuple[Tuple[int, int, int], ...] = (
+    (0, 1, 2), (1, 2, 0), (2, 0, 1))
+
 
 @dataclass(frozen=True)
 class CandidatePoint:
@@ -72,11 +77,17 @@ def _materialize(config: SensorConfig, symbol: str) -> Optional[Candidate]:
 
 
 def _argmin_set(config: SensorConfig, candidates: Sequence[Candidate],
-                pos_eps: float) -> Tuple[Tuple[CandidatePoint, ...], float]:
-    """Keep candidates tied with the best value, deduplicated by location."""
+                length: float) -> Tuple[Tuple[CandidatePoint, ...], float]:
+    """Keep candidates tied with the best value, deduplicated by location.
+
+    Both tolerances come from the length scale L (README, "Tolerances"):
+    values within REL_TIE * L^2 of the least tie, and a tied point within
+    REL_TIE * L of a kept one is the same point.
+    """
     vals = [objective_at(config.Z, config.d, x, y) for x, y, _ in candidates]
     vmin = min(vals)
-    cut = vmin + REL_TIE * max(1.0, abs(vmin))
+    cut = vmin + REL_TIE * length * length
+    pos_eps = REL_TIE * length
     winners: List[Candidate] = []
     for (x, y, role), val in zip(candidates, vals):
         if val <= cut and all(math.hypot(x - wx, y - wy) > pos_eps
@@ -235,8 +246,7 @@ def _solve_from_blocks(r: float, s: float, d1: float, d3: float,
     if not candidates:
         raise MissingIntersection(
             f"no table row yields a candidate at d1={d1!r}, d3={d3!r}")
-    pos_eps = REL_TIE * (1.0 + config_scale(config))
-    winners, vmin = _argmin_set(config, candidates, pos_eps)
+    winners, vmin = _argmin_set(config, candidates, config_scale(config))
     return SolutionSet(winners, vmin, len(winners), derivation,
                        _near_threshold(r, s, d1, d3))
 
@@ -299,9 +309,7 @@ def table_multiplicities(r: float, s: float, d1: float, d3s: Sequence[float],
     ``d3s`` on the row d1, in order, without points.
 
     Each matched row names tied minimizers only, and no two symbols name the
-    same point, so the count of distinct symbols is the multiplicity.  Off a
-    tie locus but inside the rows' eps band of it, the objective's tie cut
-    can keep fewer; ``multiplicity_conditions`` counts as the rows do.
+    same point, so the count of distinct symbols is the multiplicity.
 
     The tables depend on d1 alone, so the row checks its least and greatest
     d3 and builds the tables once.  Where that check fails, the cells run in
@@ -330,7 +338,7 @@ def multiplicity_conditions(r: float, s: float, d1: float, d3: float,
     """Count of tied minimizers with the matched closed-form condition."""
     if not (r > 0.0 and s > 0.0 and d1 >= 0.0 and d3 >= 0.0):
         raise PreconditionViolation("need r, s > 0 and nonnegative ranges")
-    eps = tol * (1.0 + r + s + d1 + abs(d3))
+    eps = tol * (r + s + d1 + abs(d3))
     t3 = SQRT3_2 * r
     equilateral = abs(s - t3) <= tol * r
     sharp = (not equilateral) and s > t3
@@ -428,9 +436,11 @@ def solve_general(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
       these are the radial projections.
     * The arcs meet at the pairwise circle intersections.
     """
-    canonical_frame(*config.Z, tol=tol)
-    scale = 1.0 + config_scale(config)
-    eps = tol * scale
+    length = config_scale(config)
+    _require_usable_scale(length)
+    for perm in _RELABELINGS:  # refuses what ``solve`` refuses
+        _frame_basis(*(config.Z[i] for i in perm), tol)
+    eps = tol * length
     zs, ds = config.Z, config.d
     circles = config.circles()
 
@@ -459,7 +469,7 @@ def solve_general(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
             _require_finite(x, y)  # as a Point2 would, losers included
             candidates.append((x, y, "RegionProjection"))
 
-    winners, vmin = _argmin_set(config, candidates, REL_TIE * scale)
+    winners, vmin = _argmin_set(config, candidates, length)
     return SolutionSet(winners, vmin, len(winners), "general-scan", ())
 
 
@@ -489,14 +499,14 @@ def equal_base_ranges(d_a: float, d_b: float, length: float,
 
     ``solve`` and the ``thresholds`` command both route on this test.
     """
-    return abs(d_a - d_b) <= tol * (1.0 + length)
+    return abs(d_a - d_b) <= tol * length
 
 
 def solve(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
     """Route to the symmetric tables when a relabeling fits, else scan."""
     length = config_scale(config)
     _require_usable_scale(length)
-    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    for perm in _RELABELINGS:
         z = tuple(config.Z[i] for i in perm)
         d = tuple(config.d[i] for i in perm)
         _frame_basis(*z, tol)  # refuses a degenerate relabeling in turn

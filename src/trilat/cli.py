@@ -283,11 +283,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         errs = []
         for cand in solution.points:
             errs.append(min(distance(cand.location, p) for p, _ in result.minima))
+        length = config_scale(config)
         payload["oracle_agreement"] = {
             "clusters": len(result.minima),
             "max_position_error": max(errs) if errs else math.inf,
             "value_error": abs(result.global_value - solution.objective_value)
-                           / max(1.0, abs(solution.objective_value)),
+                           / (length * length),
         }
     if args.csv:
         buf, writer = _csv_buffer()

@@ -4,7 +4,8 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .errors import MissingIntersection
-from .geometry import Point2, SensorConfig, circle_circle_intersect
+from .geometry import (Point2, SensorConfig, circle_circle_intersect,
+                       config_scale)
 
 
 def objective_at(zs: Sequence[Point2], ds: Sequence[float], x: float,
@@ -30,8 +31,9 @@ def objective_table(config: SensorConfig,
                     tie_tol: float = 1e-9) -> List[Tuple[str, float, bool]]:
     """Objective at the six pairwise intersection points, minima flagged.
 
-    Entries within tie_tol (relative) of the least value are flagged; pass a
-    display-level tolerance when the inputs themselves are rounded.
+    Entries within tie_tol * L^2 of the least value are flagged, L being the
+    length scale ``config_scale``; pass a display-level tolerance when the
+    inputs themselves are rounded.
     """
     circles = config.circles()
     values: List[Tuple[str, float]] = []
@@ -42,5 +44,6 @@ def objective_table(config: SensorConfig,
         point = pair.plus_point if label.endswith("+") else pair.minus_point
         values.append((label, objective_value(config, point)))
     vmin = min(v for _, v in values)
-    cut = vmin + tie_tol * max(1.0, abs(vmin))
+    length = config_scale(config)
+    cut = vmin + tie_tol * length * length
     return [(label, v, v <= cut) for label, v in values]

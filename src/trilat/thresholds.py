@@ -63,7 +63,7 @@ def threshold_R(r: float, s: float, d1: float) -> float:
 def threshold_M(r: float, s: float, d1: float) -> float:
     """Apex range above which the base-pair "-" point takes over."""
     b = math.sqrt(r * r / 4.0 + s * s)
-    if d1 < b - 1e-12 * (1.0 + b):
+    if d1 < b - 1e-12 * b:
         raise PreconditionViolation("d1 below the base-apex distance")
     h = math.sqrt(max(d1 * d1 - r * r / 4.0, 0.0))
     den = 4.0 * s * s + r * r
@@ -136,7 +136,7 @@ def d3_star_root(r: float, s: float, d1: float) -> D3StarResult:
     p = threshold_P(r, s)
     if p is None:
         raise PreconditionViolation("apex at or below the equilateral height")
-    if d1 < p - 1e-12 * (1.0 + p):
+    if d1 < p - 1e-12 * p:
         raise PreconditionViolation("d1 below P")
     h = math.sqrt(max(d1 * d1 - r * r / 4.0, 0.0))
     u = h - s
@@ -250,7 +250,7 @@ def compute_bundle(r: float, s: float, d1: float,
     b = math.sqrt(leg_sq)
     row = row_thresholds(r, s, d1)
     p = row.P
-    star = row.star if p is not None and d1 > p + 1e-12 * (1.0 + p) else None
+    star = row.star if p is not None and d1 > p + 1e-12 * p else None
     return ThresholdBundle(
         d3_0=d3_0,
         d1_0=d1_0,

@@ -228,18 +228,6 @@ def _table_cells(r):
             yield s, rng.uniform(0.05, 12.0), rng.uniform(0.0, 12.0)
 
 
-# Cells inside the tables' eps band of a tie but off the tie itself, where
-# solve_isosceles's objective cut or dedup radius drops a tied symbol and
-# the closed-form conditions side with the tables: d3 = d1 lies 2.1e-9
-# below R (relative gap 2e-9 against a cut of 1e-9), and at d1 = a the two
-# leg '+' points 6.8e-9 above 2s/3 are 4e-9 apart, inside the dedup radius.
-_BAND_CELLS = {
-    (1.7351166847859318, 2.0, 2.0): ((3, "isosceles-sharp:3.2"), 1),
-    (0.8794488182291267, 1.0420828621288876, 0.5862992189144975):
-        ((2, "isosceles-flat:2.3"), 1),
-}
-
-
 def test_table_multiplicity_matches_solve():
     """The matched rows count the minimizers that solve_isosceles keeps."""
     r = 2.0
@@ -254,7 +242,7 @@ def test_table_multiplicity_matches_solve():
         assert multiplicity_conditions(r, s, d1, d3)[0] == got[0], (s, d1, d3)
         n += 1
     assert n > 20000
-    assert apart == _BAND_CELLS
+    assert apart == {}
 
 
 def _cell_by_cell(r, s, d1, d3s, tol=1e-9):
@@ -752,13 +740,21 @@ def test_solve_refuses_as_the_reference(name):
     zs, message = _REFUSALS[name]
     d = (3.0, 2.5, 999.0) if name == "needle" else (1.0, 2.0, 3.0)
     cfg = SensorConfig(zs, d)
-    for fn in (solve, _ref_solve):
+    for fn in (solve, solve_general, _ref_solve):
         with pytest.raises(DegenerateTriangle) as err:
             fn(cfg)
         assert str(err.value) == message
 
 
-def test_general_solve_builds_one_frame_and_three_intersections(monkeypatch):
+def test_general_scan_refuses_an_unusable_scale_as_solve():
+    cfg = SensorConfig((Point2(0, 0), Point2(1e160, 0), Point2(0, 1e160)),
+                       (1e160, 1e160, 1e160))
+    for fn in (solve, solve_general):
+        with pytest.raises(PreconditionViolation, match="length scale"):
+            fn(cfg)
+
+
+def test_general_solve_builds_no_frame_and_three_intersections(monkeypatch):
     counts = {"frames": 0, "intersections": 0}
     frame_cls = geometry.CanonicalFrame
     intersect = classifier.circle_circle_intersect
@@ -775,4 +771,4 @@ def test_general_solve_builds_one_frame_and_three_intersections(monkeypatch):
     monkeypatch.setattr(classifier, "circle_circle_intersect", counted_intersect)
     cfg = _criterion_6_layouts(1)[0]
     assert solve(cfg).derivation == "general-scan"
-    assert counts == {"frames": 1, "intersections": 3}
+    assert counts == {"frames": 0, "intersections": 3}
