@@ -75,23 +75,27 @@ def _sensor_arrays(config: SensorConfig) -> Tuple[np.ndarray, np.ndarray]:
 
 def _evaluate(zs: np.ndarray, dsq: np.ndarray, px: np.ndarray,
               py: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The objective at each point, accumulated in ``out`` if given.
+    """The objective at each point of ``px`` broadcast against ``py``.
 
-    Refine rounds pass the children's slice of their candidate array, so
-    they allocate no array of that size: fresh ones arrive from the
-    allocator as new pages, whose faults cost about half as much CPU as
-    the arithmetic.
+    Each sensor's squared offsets are taken on the axes before they
+    broadcast, so a grid passes ``gx[:, None], gy[None, :]`` and squares
+    2n offsets, not n^2.  Every value is the same float as on the
+    broadcast points: (x - zx)^2 + (y - zy)^2 - dj^2, its absolute value,
+    summed over the sensors in order.  The sum goes into ``out`` if given:
+    refine rounds pass the children's block of their value array, so they
+    allocate no array of that size, whose fresh pages would cost about
+    half as much CPU as the arithmetic.
     """
-    acc = np.empty_like(px) if out is None else out
-    acc.fill(0.0)
-    term = np.empty_like(px)
-    part = np.empty_like(px)
-    for (zx, zy), dj2 in zip(zs, dsq):
-        np.square(np.subtract(px, zx, out=term), out=term)
-        np.square(np.subtract(py, zy, out=part), out=part)
-        term += part
-        term -= dj2
-        acc += np.abs(term, out=term)
+    shape = np.broadcast_shapes(np.shape(px), np.shape(py))
+    acc = np.empty(shape) if out is None else out
+    term = np.empty(shape)
+    for j, ((zx, zy), dj2) in enumerate(zip(zs, dsq)):
+        part = acc if j == 0 else term
+        np.add(np.square(px - zx), np.square(py - zy), out=part)
+        part -= dj2
+        np.abs(part, out=part)
+        if j:
+            acc += part
     return acc
 
 
@@ -121,26 +125,54 @@ def _check_bounds(config: SensorConfig, spec: GridSpec) -> None:
                 "window must cover every disk with margin >= the largest range")
 
 
+class _Axis:
+    """One coordinate of a round's candidates, computed only where indexed.
+
+    The candidates are a block of shape (a, b, k), candidate (i*b + j)*k + p
+    at (xs[i, p], ys[j, p]), then a refine round's k parents, candidate
+    a*b*k + p at (xs[a, p], ys[b, p]).  ``table`` is xs raveled if ``x``,
+    else ys raveled, with the parents' row last.
+    """
+
+    def __init__(self, table: np.ndarray, a: int, b: int, k: int,
+                 x: bool) -> None:
+        self.table, self.a, self.b, self.k, self.x = table, a, b, k, x
+
+    def __getitem__(self, q: np.ndarray) -> np.ndarray:
+        i, rest = np.divmod(q, self.b * self.k)  # rest = j*k + p
+        if self.x:
+            return self.table[i * self.k + rest % self.k]
+        rest[i == self.a] += self.b * self.k  # a parent: row b of ys
+        return self.table[rest]
+
+
 def _prune(px: np.ndarray, py: np.ndarray, vals: np.ndarray, vmin: float,
            band: float, lip: float, cell: float
            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Keep cells plausibly containing a minimum; cap count deterministically.
 
-    The last item is how many cells within the cut the cap dropped.
+    The kept cells come back in index order.  When more than
+    ``_SURVIVOR_CAP`` cells make the cut, the kept ones are the cap least
+    by (vals, px, py), the least index first on a tie in all three: every
+    cell below the cap-th smallest value, then as many cells at that value
+    as fit, ranked by (px, py).  ``px`` and ``py`` are only indexed by
+    index arrays, so they may be stand-ins (``_Axis``) that compute the
+    coordinates of the cells asked about.  The last item is how many
+    cells within the cut the cap dropped.
     """
     keep = vals <= vmin + max(band, lip * cell)
     dropped = max(int(np.count_nonzero(keep)) - _SURVIVOR_CAP, 0)
     if dropped:
-        # More cells than the cap make the cut, so the cap-th smallest value
-        # among them is the cap-th smallest of all.  Only cells up to it,
-        # ties at it included, can make the cap, and they keep their index
-        # order, so sorting them alone keeps what a full (vals, px, py) sort
-        # of the cut keeps.
+        # More cells than the cap make the cut, so the cap-th smallest
+        # value among them is the cap-th smallest of all.
         kth = np.partition(vals, _SURVIVOR_CAP - 1)[_SURVIVOR_CAP - 1]
-        sel = np.flatnonzero(vals <= kth)
-        sel = sel[np.lexsort((py[sel], px[sel], vals[sel]))[:_SURVIVOR_CAP]]
-    else:
-        sel = np.flatnonzero(keep)
+        np.less_equal(vals, kth, out=keep)
+        excess = int(np.count_nonzero(keep)) - _SURVIVOR_CAP
+        if excess:
+            # The stable sort ranks the ties at kth by (px, py, index).
+            tie = np.flatnonzero(vals == kth)
+            keep[tie[np.lexsort((py[tie], px[tie]))[-excess:]]] = False
+    sel = np.flatnonzero(keep)
     return px[sel], py[sel], vals[sel], dropped
 
 
@@ -301,7 +333,23 @@ def _refine_rep(config: SensorConfig, zs: _Terms, dsq: Sequence[float],
 
 def brute_force_minimize(config: SensorConfig,
                          spec: Optional[GridSpec] = None) -> OracleResult:
-    """Locate every near-global minimum on a refined grid, then cluster."""
+    """Locate every near-global minimum on a refined grid, then cluster.
+
+    Each refine round evaluates only the survivors' children: child (i, j)
+    of parent p sits at (px[p] + ox[i], py[p] + oy[j]) and is candidate
+    (i*m + j)*k + p, so the children's values are one (m, m, k) block
+    broadcast from their axes, parents innermost, and the parents' values
+    follow.  No array holds every candidate's coordinates: ``_prune`` gets
+    ``_Axis`` stand-ins and computes those of the cells it asks about.
+
+    The survivors come back in index order, which cannot change the
+    result.  Each round keeps the same multiset of (vals, px, py)
+    survivors whatever their order, and nothing after the cut depends on
+    order: vmin, capped_out, the cluster components, each component's
+    least (vals, px, py) and the minima sorted by (x, y).  Exact duplicate
+    triples (an odd factor puts the middle child on its parent) cannot be
+    told apart, so keeping either gives the same result.
+    """
     if spec is None:
         spec = default_grid(config)
     _check_bounds(config, spec)
@@ -318,36 +366,37 @@ def brute_force_minimize(config: SensorConfig,
     dy = (ymax - ymin) / n
     gx = xmin + (np.arange(n) + 0.5) * dx
     gy = ymin + (np.arange(n) + 0.5) * dy
-    xx, yy = np.meshgrid(gx, gy, indexing="ij")
-    px, py = xx.ravel(), yy.ravel()
-    vals = _evaluate(zs, dsq, px, py)
+    # Cell (i, j) of the grid is candidate i*n + j, at (gx[i], gy[j]).
+    vals = _evaluate(zs, dsq, gx[:, None], gy[None, :]).ravel()
     vmin = float(vals.min())
     round_values = [vmin]
     cell = math.hypot(dx, dy)
-    px, py, vals, capped_out = _prune(px, py, vals, vmin,
-                                      1e-3 * (1.0 + abs(vmin)), lip, cell)
+    px, py, vals, capped_out = _prune(
+        _Axis(gx, n, n, 1, True), _Axis(gy, n, n, 1, False), vals, vmin,
+        1e-3 * (1.0 + abs(vmin)), lip, cell)
 
     m = max(2, int(round(spec.refine_factor)))
     for rnd in range(spec.refine_rounds):
         ox = ((np.arange(m) + 0.5) / m - 0.5) * dx
         oy = ((np.arange(m) + 0.5) / m - 0.5) * dy
-        # The children, then their parents.  Child (k, i, j) of parent k
-        # sits at (px[k] + ox[i], py[k] + oy[j]); the parents keep their
-        # values, as _evaluate is elementwise.
+        # The children's axes, each with its parents' row last.
         k, c = px.size, px.size * m * m  # parents, children
-        allx, ally, allv = (np.empty(c + k) for _ in range(3))
-        allx[:c].reshape(k, m, m)[...] = (px[:, None] + ox)[:, :, None]
-        ally[:c].reshape(k, m, m)[...] = (py[:, None] + oy)[:, None, :]
-        allx[c:], ally[c:], allv[c:] = px, py, vals
-        _evaluate(zs, dsq, allx[:c], ally[:c], out=allv[:c])
-        px, py, vals = allx, ally, allv
-        vmin = float(vals.min())
+        xs, ys = np.empty((m + 1, k)), np.empty((m + 1, k))
+        allv = np.empty(c + k)
+        np.add(px, ox[:, None], out=xs[:m])
+        np.add(py, oy[:, None], out=ys[:m])
+        xs[m], ys[m], allv[c:] = px, py, vals
+        _evaluate(zs, dsq, xs[:m, None, :], ys[None, :m, :],
+                  out=allv[:c].reshape(m, m, k))
+        vmin = float(allv.min())
         dx /= m
         dy /= m
         cell = math.hypot(dx, dy)
         final = rnd == spec.refine_rounds - 1
         band = (1e-6 if final else 1e-3) * (1.0 + abs(vmin))
-        px, py, vals, dropped = _prune(px, py, vals, vmin, band, lip, cell)
+        px, py, vals, dropped = _prune(
+            _Axis(xs.ravel(), m, m, k, True), _Axis(ys.ravel(), m, m, k, False),
+            allv, vmin, band, lip, cell)
         capped_out += dropped
         round_values.append(vmin)
 
@@ -393,6 +442,4 @@ def contour_grid(config: SensorConfig, resolution: int = 256,
     pady = margin * max(ymax - ymin, 1e-9)
     xs = np.linspace(xmin - padx, xmax + padx, resolution)
     ys = np.linspace(ymin - pady, ymax + pady, resolution)
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    vals = _evaluate(zs, dsq, xx.ravel(), yy.ravel()).reshape(xx.shape)
-    return xs, ys, vals
+    return xs, ys, _evaluate(zs, dsq, xs[:, None], ys[None, :])

@@ -386,6 +386,36 @@ def test_children_only_rounds_match_reevaluating_the_parents(five_way_exact):
     assert len(configs) == 20 and capped >= 10
 
 
+def test_tied_cuts_match_reevaluating_the_parents_at_full_size(
+        five_way_exact, monkeypatch):
+    """192^2 x 6, where the cap fires with ties at its cap-th value: the
+    five-way certificate, and an isosceles layout in its canonical frame,
+    under a quarter turn and under a reflection.  On the last three a cut
+    splits two tied values, so _prune ranks them by position."""
+    cap, prune = oracle._SURVIVOR_CAP, oracle._prune
+    cuts = []
+
+    def recording(px, py, vals, vmin, band, lip, cell):
+        if np.count_nonzero(vals <= vmin + max(band, lip * cell)) > cap:
+            kth = np.partition(vals, cap - 1)[cap - 1]
+            cuts.append((int(np.count_nonzero(vals < kth)),
+                         int(np.count_nonzero(vals == kth))))
+        return prune(px, py, vals, vmin, band, lip, cell)
+
+    iso = canonical(1.92, 1.775, 6.11, 8.37)
+    turned = SensorConfig(tuple(Point2(-z.y, z.x) for z in iso.Z), iso.d)
+    mirrored = SensorConfig(tuple(Point2(z.x, -z.y) for z in iso.Z), iso.d)
+    for k, cfg in enumerate((five_way_exact, iso, turned, mirrored)):
+        spec = default_grid(cfg, resolution=192, refine_rounds=6)
+        cuts.clear()
+        monkeypatch.setattr(oracle, "_prune", recording)
+        got = brute_force_minimize(cfg, spec)
+        monkeypatch.setattr(oracle, "_prune", prune)
+        assert any(ties > 1 for _, ties in cuts), k
+        assert k == 0 or any(below + ties > cap for below, ties in cuts), k
+        assert got == _minimize_reevaluating_parents(cfg, spec), k
+
+
 def test_refinement_work_on_a_valley_layout(monkeypatch):
     """A valley layout whose 38 representatives once took 194,826 scalar
     evaluations, almost all in line searches, to keep one minimum.
@@ -425,20 +455,35 @@ def test_coincident_sensors_with_equal_ranges_refine():
     assert res.global_value < 1e-15
 
 
+class _Lookup:
+    """A non-array coordinate stand-in that records what _prune asks."""
+
+    def __init__(self, values):
+        self.values, self.asked = values, []
+
+    def __getitem__(self, sel):
+        assert isinstance(sel, np.ndarray) and sel.dtype.kind == "i"
+        self.asked.append(sel.size)
+        return self.values[sel]
+
+
 class TestSurvivorCap:
     def test_prune_reports_what_the_cap_dropped(self, monkeypatch):
         monkeypatch.setattr(oracle, "_SURVIVOR_CAP", 3)
         vals = np.array([0.5, 0.1, 9.0, 0.2, 0.3, 0.0])
         px = np.arange(6.0)
+        ranked = np.lexsort((-px, px, vals))
         out = oracle._prune(px, -px, vals, 0.0, 1.0, 0.0, 1.0)
-        assert out[0].tolist() == [5.0, 1.0, 3.0]
+        assert out[0].tolist() == px[np.sort(ranked[:3])].tolist()
+        assert out[0].tolist() == [1.0, 3.0, 5.0]
         assert out[3] == 2
         out = oracle._prune(px, -px, vals, 0.0, 0.15, 0.0, 1.0)
         assert out[0].tolist() == [1.0, 5.0] and out[3] == 0
 
     @pytest.mark.parametrize("cap", [1, 3, 50, 400])
     def test_partial_selection_matches_a_full_sort(self, monkeypatch, cap):
-        """Heavy ties in value and position, ties at the cut included."""
+        """Heavy ties in value and position, ties at the cut included: the
+        cells a full (vals, px, py) sort keeps, in index order."""
         monkeypatch.setattr(oracle, "_SURVIVOR_CAP", cap)
         rng = np.random.default_rng(cap)
         for levels in (1, 2, 5, 40):
@@ -447,14 +492,52 @@ class TestSurvivorCap:
             px = rng.integers(0, 4, n).astype(float)
             py = rng.integers(0, 3, n).astype(float)
             ranked = np.lexsort((py, px, vals))
-            full = ranked[:cap]
+            full = np.sort(ranked[:cap])
             if levels <= 2:  # the cut splits a run of equal values
-                assert vals[full[-1]] == vals[ranked[cap]]
+                assert vals[ranked[cap - 1]] == vals[ranked[cap]]
             out = oracle._prune(px, py, vals, 0.0, float(levels), 0.0, 1.0)
             assert out[0].tolist() == px[full].tolist()
             assert out[1].tolist() == py[full].tolist()
             assert out[2].tolist() == vals[full].tolist()
             assert out[3] == n - cap
+
+    @pytest.mark.parametrize("cap", [3, 50])
+    def test_stand_in_coordinates_match_arrays(self, monkeypatch, cap):
+        """px and py are only indexed, and only at the cells in question:
+        the kept ones, plus the ties at the cut when the cap splits them."""
+        monkeypatch.setattr(oracle, "_SURVIVOR_CAP", cap)
+        rng = np.random.default_rng(7 + cap)
+        for levels in (2, 40, 1000):
+            n = 3 * cap + 7
+            vals = rng.integers(0, levels, n).astype(float)
+            px = rng.integers(0, 4, n).astype(float)
+            py = rng.integers(0, 3, n).astype(float)
+            for band in (float(levels), 0.5 * levels):
+                want = oracle._prune(px, py, vals, 0.0, band, 0.0, 1.0)
+                lx, ly = _Lookup(px), _Lookup(py)
+                got = oracle._prune(lx, ly, vals, 0.0, band, 0.0, 1.0)
+                assert [a.tolist() for a in got[:3]] == [
+                    a.tolist() for a in want[:3]] and got[3] == want[3]
+                ties = int(np.count_nonzero(vals == np.sort(vals)[cap - 1]))
+                assert sum(lx.asked) <= cap + ties
+                assert lx.asked == ly.asked
+
+    def test_exact_duplicates_split_at_the_cut(self, monkeypatch):
+        """Four equal (vals, px, py) triples, three above the cut and one
+        below: the cells kept are the least indices of the full sort, and
+        no order could tell the triples apart."""
+        monkeypatch.setattr(oracle, "_SURVIVOR_CAP", 4)
+        vals = np.array([2.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 3.0, 1.0])
+        px = np.array([0.0, 2.0, 1.0, 5.0, 1.0, 1.0, 2.0, 0.0, 1.0])
+        py = np.array([0.0, 4.0, 3.0, 9.0, 3.0, 3.0, 4.0, 0.0, 3.0])
+        ranked = np.lexsort((py, px, vals))
+        full = np.sort(ranked[:4])
+        assert full.tolist() == [2, 3, 4, 5]  # (1, 1, 3) at 8 is dropped
+        out = oracle._prune(px, py, vals, 0.0, 2.5, 0.0, 1.0)
+        assert out[0].tolist() == px[full].tolist()
+        assert out[1].tolist() == py[full].tolist()
+        assert out[2].tolist() == vals[full].tolist()
+        assert out[3] == 8 - 4
 
     def test_capped_out_totals_every_round(self, monkeypatch):
         cap = oracle._SURVIVOR_CAP
@@ -662,6 +745,17 @@ def test_contour_grid_values_match_objective():
         for j in (3, 29, 45):
             direct = objective_value(cfg, Point2(float(xs[i]), float(ys[j])))
             assert abs(vals[i, j] - direct) < 1e-9 * (1.0 + direct)
+
+
+def test_contour_grid_equals_the_objective_on_meshgrid_points():
+    """The axes broadcast inside _evaluate give the same floats as the
+    grid's points spelled out one by one."""
+    cfg = canonical(2.0, 3.0, 6.1, 5.4)
+    xs, ys, vals = contour_grid(cfg, resolution=37)
+    zs, dsq = oracle._sensor_arrays(cfg)
+    xx, yy = np.meshgrid(xs, ys, indexing="ij")
+    flat = oracle._evaluate(zs, dsq, xx.ravel(), yy.ravel())
+    assert vals.ravel().tolist() == flat.tolist()
 
 
 def test_contour_grid_min_dominates_true_min(five_way_exact):
