@@ -6,7 +6,6 @@ candidate scan that is exhaustive for this objective.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -17,8 +16,7 @@ from .geometry import (SQRT3_2, Point2, SensorConfig, _frame_basis,
                        circle_circle_intersect, config_scale, distance,
                        n3_point)
 from .regions import objective_at, objective_value
-from .thresholds import (ROW_CACHE_SIZE, _require_usable_scale, compute_bundle,
-                         row_thresholds)
+from .thresholds import _require_usable_scale, compute_bundle, row_thresholds
 
 REL_TIE = 1e-9
 
@@ -119,7 +117,6 @@ def _row(lo: float, lo_c: bool, hi: float, hi_c: bool,
     return (lo, lo_c, hi, hi_c, symbols, rid)
 
 
-@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
 def _isosceles_blocks(r: float, s: float, d1: float,
                       regime: str) -> Tuple[Block, ...]:
     low = 2.0 * s / 3.0
@@ -423,8 +420,11 @@ def _in_region(config: SensorConfig, p: Point2, bits: Tuple[int, ...],
 _RADIAL = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 0))
 
 
-def solve_general(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
+def _scan(config: SensorConfig, length: float, tol: float) -> SolutionSet:
     """Minimizer set for an arbitrary noncollinear sensor layout.
+
+    ``config`` has passed ``solve``'s checks, and ``length`` is its
+    ``config_scale``.
 
     The candidate set is complete, so the best candidates are the answer:
 
@@ -436,10 +436,6 @@ def solve_general(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
       these are the radial projections.
     * The arcs meet at the pairwise circle intersections.
     """
-    length = config_scale(config)
-    _require_usable_scale(length)
-    for perm in _RELABELINGS:  # refuses what ``solve`` refuses
-        _frame_basis(*(config.Z[i] for i in perm), tol)
     eps = tol * length
     zs, ds = config.Z, config.d
     circles = config.circles()
@@ -524,4 +520,4 @@ def solve(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
         value = min(objective_value(config, c.location) for c in points)
         return SolutionSet(points, value, sol.multiplicity, sol.derivation,
                            sol.near_threshold)
-    return solve_general(config, tol=tol)
+    return _scan(config, length, tol)

@@ -82,32 +82,35 @@ _FOUR_EQUAL_ROWS: Tuple[Tuple[str, Tuple[float, ...]], ...] = (
 _TABLE_COLUMNS = ("S12+", "S23+", "S31+", "S12-", "S23-", "S31-")
 
 
-def reconstruct_four_equal(o12_plus: float, o12_minus: float,
-                           r: float = 2.0) -> Tuple[float, float, float]:
-    """Recover (s, d1, d3) from the two base-pair objective values."""
+def reconstruct_four_equal(o12_plus: float,
+                           o12_minus: float) -> Tuple[float, float, float]:
+    """Recover (s, d1, d3) from the two base-pair objective values, at the
+    fixtures' base length r = 2."""
     s = math.sqrt((o12_minus - o12_plus) / 4.0)
     q = (o12_plus + 2.0 * s * s) / (2.0 * s)
     d3 = math.sqrt(q * q - s * s)
-    d1 = math.sqrt(d3 * d3 + s * s + r * r / 4.0)
+    d1 = math.sqrt(d3 * d3 + s * s + 1.0)
     return s, d1, d3
 
 
-@functools.lru_cache(maxsize=None)
 def refined_tail_base() -> float:
     """Base range of the last three isosceles fixture rows.
 
     Their middle row ties three candidates by construction, so the block's
     base range is the one whose auxiliary root lands on the printed 9.2008;
-    the captions keep only four decimals of it.
+    the captions keep only four decimals of it.  In units of r that root is
+    d3*^2 = u^2 + beta*u + 4*rho^2*(rho^2 + 1/4)/D, a quadratic in
+    u = sqrt(d1^2 - r^2/4) - s (``thresholds``), with rho = s/r,
+    c = rho^2 - 1/4, D = rho^2 + c^2 and beta = (4*rho^3 - 2*rho*c)/D.
     """
-    lo, hi = 10.31, 10.32
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if thresholds.d3_star(2.0, 3.0, mid) < 9.2008:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    r, s = 2.0, 3.0
+    rho = s / r
+    c = rho * rho - 0.25
+    den = rho * rho + c * c
+    beta = (4.0 * rho ** 3 - 2.0 * rho * c) / den
+    gamma = 4.0 * rho * rho * (rho * rho + 0.25) / den - (9.2008 / r) ** 2
+    u = r * (-beta + math.sqrt(beta * beta - 4.0 * gamma)) / 2.0
+    return math.hypot(u + s, r / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -138,21 +138,20 @@ def config_scale(config: SensorConfig) -> float:
     return span + max(config.d)
 
 
-def circle_circle_intersect(a: Circle, b: Circle, third_sensor: Point2,
-                            tol: Optional[float] = None) -> IntersectionPair:
+def circle_circle_intersect(a: Circle, b: Circle,
+                            third_sensor: Point2) -> IntersectionPair:
     """Intersect two circles and order the points relative to a third point.
 
     The "plus" point is the one nearer ``third_sensor``.  When the two
-    distances to it differ by at most ``tol``, the lexicographically smaller
-    (y, then x) point is "plus", so "plus" may be farther by up to ``tol``.
-    Within ``tol`` of tangency the pair snaps to a single point.  ``tol``
-    defaults to 1e-9 * (r_a + r_b + center distance).
+    distances to it differ by at most tol, the lexicographically smaller
+    (y, then x) point is "plus", so "plus" may be farther by up to tol.
+    Within tol of tangency the pair snaps to a single point.  The band tol
+    is 1e-9 * (r_a + r_b + center distance).
     """
     dx = b.center.x - a.center.x
     dy = b.center.y - a.center.y
     dist = math.hypot(dx, dy)
-    if tol is None:
-        tol = 1e-9 * (a.radius + b.radius + dist)
+    tol = 1e-9 * (a.radius + b.radius + dist)
     if dist <= tol and abs(a.radius - b.radius) <= tol:
         raise ConcentricIdentical("circles coincide within tolerance")
     if dist > a.radius + b.radius + tol or dist < abs(a.radius - b.radius) - tol:

@@ -429,17 +429,17 @@ def brute_force_minimize(config: SensorConfig,
 # ---------------------------------------------------------------------------
 # contour support
 
-def contour_grid(config: SensorConfig, resolution: int = 256,
-                 margin: float = 0.2
+def contour_grid(config: SensorConfig, resolution: int = 256
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective sampled on a grid over the disks' bounding box plus margin."""
+    """Objective sampled on a grid over the disks' bounding box, widened by
+    a fifth of its width and height on each side."""
     zs, dsq = _sensor_arrays(config)
     xmin = min(z.x - d for z, d in zip(config.Z, config.d))
     xmax = max(z.x + d for z, d in zip(config.Z, config.d))
     ymin = min(z.y - d for z, d in zip(config.Z, config.d))
     ymax = max(z.y + d for z, d in zip(config.Z, config.d))
-    padx = margin * max(xmax - xmin, 1e-9)
-    pady = margin * max(ymax - ymin, 1e-9)
+    padx = 0.2 * max(xmax - xmin, 1e-9)
+    pady = 0.2 * max(ymax - ymin, 1e-9)
     xs = np.linspace(xmin - padx, xmax + padx, resolution)
     ys = np.linspace(ymin - pady, ymax + pady, resolution)
     return xs, ys, _evaluate(zs, dsq, xs[:, None], ys[None, :])

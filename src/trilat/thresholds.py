@@ -30,10 +30,6 @@ from typing import Dict, Optional
 from .errors import NoBracket, PreconditionViolation
 from .geometry import SQRT3_2
 
-# Entries kept by each per-d1 cache.  A solve reads one key, and a sweep
-# visits the cells of one d1 row in a row, so it misses once per row.
-ROW_CACHE_SIZE = 1
-
 
 def _require_usable_scale(scale: float, name: str = "length scale") -> None:
     """Reject length scales L whose square is not a finite normal float.
@@ -177,7 +173,9 @@ class RowThresholds:
     star: Optional[D3StarResult]
 
 
-@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
+# One entry: a solve reads its key twice (tables, then near-threshold
+# report), and a sweep visits the cells of one d1 row in a row.
+@functools.lru_cache(maxsize=1)
 def row_thresholds(r: float, s: float, d1: float) -> RowThresholds:
     """P, R, M, the four-equal radius d3m and d3* for one (r, s, d1).
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from conftest import MAP_WINDOWS, S3, canonical, rel, sweep_axes
 from trilat import classifier, geometry, thresholds
 from trilat.classifier import (CandidatePoint, SolutionSet,
-                               multiplicity_conditions, solve, solve_general,
-                               solve_isosceles)
+                               multiplicity_conditions, solve, solve_isosceles)
 from trilat.errors import (DegenerateTriangle, MissingIntersection,
                            PreconditionViolation)
 from trilat.geometry import (Point2, SensorConfig, canonical_frame,
@@ -21,8 +20,13 @@ from trilat.regions import objective_table, objective_value
 
 # --- general scan -----------------------------------------------------------
 
+def _scan(cfg, tol=1e-9):
+    """The general scan alone, on a layout that passes ``solve``'s checks."""
+    return classifier._scan(cfg, config_scale(cfg), tol)
+
+
 def test_general_five_way(five_way_exact):
-    sol = solve_general(five_way_exact)
+    sol = _scan(five_way_exact)
     assert sol.multiplicity == 5
     assert abs(sol.objective_value - 24.0) < 1e-3
 
@@ -31,7 +35,7 @@ def test_general_noiseless_source():
     zs = (Point2(-1, 0), Point2(1, 0), Point2(0.2, 2.2))
     src = Point2(0.25, 0.8)
     cfg = SensorConfig(zs, tuple(distance(src, z) for z in zs))
-    sol = solve_general(cfg)
+    sol = _scan(cfg)
     assert sol.multiplicity == 1
     assert sol.objective_value < 1e-9
     assert distance(sol.points[0].location, src) < 1e-6
@@ -58,7 +62,7 @@ def test_general_winners_are_local_minima():
         cfg = SensorConfig(tuple(zs),
                            tuple(k * rng.uniform(0.3, 8.0) for _ in range(3)))
         scale = config_scale(cfg)
-        sol = solve_general(cfg)
+        sol = _scan(cfg)
         floor = sol.objective_value - 1e-12 * scale * scale
         for cand in sol.points:
             w = cand.location
@@ -69,7 +73,7 @@ def test_general_winners_are_local_minima():
 
 
 def test_general_matches_equilateral_row():
-    sol = solve_general(canonical(2.0, S3, 4.0, 5.2520))
+    sol = _scan(canonical(2.0, S3, 4.0, 5.2520))
     assert sol.multiplicity == 1
     assert sol.points[0].role == "S12minus"
 
@@ -505,7 +509,7 @@ def test_multiplicity_cap_general(seed):
         if abs(ax * by - ay * bx) > 0.5:
             break
     d = tuple(rng.uniform(0.3, 8.0) for _ in range(3))
-    sol = solve_general(SensorConfig(tuple(zs), d))
+    sol = _scan(SensorConfig(tuple(zs), d))
     assert 1 <= sol.multiplicity <= 5
 
 
@@ -513,7 +517,6 @@ def test_multiplicity_cap_general(seed):
 
 def _clear_row_caches():
     thresholds.row_thresholds.cache_clear()
-    classifier._isosceles_blocks.cache_clear()
 
 
 @pytest.mark.parametrize("name", sorted(MAP_WINDOWS))
@@ -706,7 +709,7 @@ def test_solve_equals_object_based_reference(layouts):
     configs = layouts()
     for cfg in configs:
         assert solve(cfg) == _ref_solve(cfg), cfg
-        assert solve_general(cfg) == _ref_solve_general(cfg), cfg
+        assert _scan(cfg) == _ref_solve_general(cfg), cfg
 
 
 def test_reference_layouts_reach_every_branch():
@@ -740,7 +743,7 @@ def test_solve_refuses_as_the_reference(name):
     zs, message = _REFUSALS[name]
     d = (3.0, 2.5, 999.0) if name == "needle" else (1.0, 2.0, 3.0)
     cfg = SensorConfig(zs, d)
-    for fn in (solve, solve_general, _ref_solve):
+    for fn in (solve, _ref_solve):
         with pytest.raises(DegenerateTriangle) as err:
             fn(cfg)
         assert str(err.value) == message
@@ -749,26 +752,28 @@ def test_solve_refuses_as_the_reference(name):
 def test_general_scan_refuses_an_unusable_scale_as_solve():
     cfg = SensorConfig((Point2(0, 0), Point2(1e160, 0), Point2(0, 1e160)),
                        (1e160, 1e160, 1e160))
-    for fn in (solve, solve_general):
-        with pytest.raises(PreconditionViolation, match="length scale"):
-            fn(cfg)
+    with pytest.raises(PreconditionViolation, match="length scale"):
+        solve(cfg)
 
 
 def test_general_solve_builds_no_frame_and_three_intersections(monkeypatch):
-    counts = {"frames": 0, "intersections": 0}
-    frame_cls = geometry.CanonicalFrame
-    intersect = classifier.circle_circle_intersect
+    """A general solve checks its layout once: one length scale, one basis
+    per relabeling, no frame, and one intersection per circle pair."""
+    counts = {"frames": 0, "intersections": 0, "scales": 0, "bases": 0}
 
-    def counted_frame(*args, **kwargs):
-        counts["frames"] += 1
-        return frame_cls(*args, **kwargs)
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counted_intersect(*args, **kwargs):
-        counts["intersections"] += 1
-        return intersect(*args, **kwargs)
-
-    monkeypatch.setattr(geometry, "CanonicalFrame", counted_frame)
-    monkeypatch.setattr(classifier, "circle_circle_intersect", counted_intersect)
+    monkeypatch.setattr(geometry, "CanonicalFrame",
+                        counted("frames", geometry.CanonicalFrame))
+    for key, name in (("intersections", "circle_circle_intersect"),
+                      ("scales", "config_scale"), ("bases", "_frame_basis")):
+        monkeypatch.setattr(classifier, name,
+                            counted(key, getattr(classifier, name)))
     cfg = _criterion_6_layouts(1)[0]
     assert solve(cfg).derivation == "general-scan"
-    assert counts == {"frames": 0, "intersections": 3}
+    assert counts == {"frames": 0, "intersections": 3, "scales": 1,
+                      "bases": 3}

@@ -15,10 +15,10 @@ from scipy import ndimage
 
 import trilat
 from conftest import MAP_WINDOWS, S3, sweep_axes
-from trilat import classifier
+from trilat import classifier, thresholds
 from trilat.classifier import solve_isosceles
 from trilat.cli import (build_parser, main, parse_instance,
-                        reconstruct_four_equal)
+                        reconstruct_four_equal, refined_tail_base)
 
 FIVE_WAY_EXACT = {
     "r": 2.0, "s": 3.0,
@@ -292,6 +292,18 @@ def test_reconstruct_four_equal_row_a():
     assert abs(s - 1.5) < 1e-9
     assert abs(d1 - math.sqrt(7.25)) < 1e-4
     assert abs(d3 - 2.0) < 1e-4
+
+
+def test_refined_tail_base_equals_the_bisection():
+    """The closed form lands on the float a 60-step bisection of d3* finds."""
+    lo, hi = 10.31, 10.32
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if thresholds.d3_star(2.0, 3.0, mid) < 9.2008:
+            lo = mid
+        else:
+            hi = mid
+    assert refined_tail_base() == (lo + hi) / 2.0
 
 
 # --- thresholds -------------------------------------------------------------
