@@ -10,9 +10,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import MissingIntersection, PreconditionViolation
+from .errors import (DegenerateDirection, MissingIntersection,
+                     PreconditionViolation)
 from .geometry import (SQRT3_2, Point2, SensorConfig, _frame_basis,
-                       _require_finite, canonical_frame, centroid_points,
+                       canonical_frame, centroid_points,
                        circle_circle_intersect, config_scale, distance,
                        n3_point)
 from .regions import objective_at, objective_value
@@ -24,12 +25,12 @@ Role = str
 # A candidate before it wins: coordinates and role, as plain values.
 Candidate = Tuple[float, float, Role]
 
-# Circle pairs (i, j) with the third sensor k that tells "plus" from "minus".
-_PAIRS: Tuple[Tuple[str, int, int, int], ...] = (
-    ("S12", 0, 1, 2), ("S23", 1, 2, 0), ("S31", 2, 0, 1))
+# Circle pairs (i, j); the third sensor tells "plus" from "minus".
+_PAIRS: Tuple[Tuple[str, int, int], ...] = (
+    ("S12", 0, 1), ("S23", 1, 2), ("S31", 2, 0))
 
-_PAIR_BY_ROLE = {name + side: (i, j, k, side == "plus")
-                 for name, i, j, k in _PAIRS for side in ("plus", "minus")}
+_PAIR_BY_ROLE = {name + side: (i, j, side == "plus")
+                 for name, i, j in _PAIRS for side in ("plus", "minus")}
 
 # The cyclic relabelings of the sensors; each puts a different pair at the
 # base.
@@ -56,12 +57,11 @@ class SolutionSet:
 # shared helpers
 
 def _pair_point(config: SensorConfig, role: Role) -> Optional[Point2]:
-    i, j, k, plus = _PAIR_BY_ROLE[role]
-    circles = config.circles()
-    pair = circle_circle_intersect(circles[i], circles[j], config.Z[k])
-    if pair.count == 0:
+    i, j, plus = _PAIR_BY_ROLE[role]
+    pts = circle_circle_intersect(config, i, j)
+    if not pts:
         return None
-    return pair.plus_point if plus else pair.minus_point
+    return pts[0] if plus else pts[-1]
 
 
 def _materialize(config: SensorConfig, symbol: str) -> Optional[Candidate]:
@@ -335,6 +335,7 @@ def multiplicity_conditions(r: float, s: float, d1: float, d3: float,
     """Count of tied minimizers with the matched closed-form condition."""
     if not (r > 0.0 and s > 0.0 and d1 >= 0.0 and d3 >= 0.0):
         raise PreconditionViolation("need r, s > 0 and nonnegative ranges")
+    _require_usable_scale(max(r, math.hypot(r / 2.0, s)) + max(d1, d3))
     eps = tol * (r + s + d1 + abs(d3))
     t3 = SQRT3_2 * r
     equilateral = abs(s - t3) <= tol * r
@@ -438,13 +439,12 @@ def _scan(config: SensorConfig, length: float, tol: float) -> SolutionSet:
     """
     eps = tol * length
     zs, ds = config.Z, config.d
-    circles = config.circles()
 
     candidates: List[Candidate] = []
-    for name, i, j, k in _PAIRS:
-        pair = circle_circle_intersect(circles[i], circles[j], zs[k])
-        if pair.count:
-            p, m = pair.plus_point, pair.minus_point
+    for name, i, j in _PAIRS:
+        pts = circle_circle_intersect(config, i, j)
+        if pts:
+            p, m = pts[0], pts[-1]
             candidates += [(p.x, p.y, name + "plus"), (m.x, m.y, name + "minus")]
     anchors = centroid_points(*zs)
     for a, anchor in enumerate(anchors):  # Y0 outside all disks, Yj in j alone
@@ -462,7 +462,11 @@ def _scan(config: SensorConfig, length: float, tol: float) -> SolutionSet:
             continue
         for t in (d / norm, -d / norm):
             x, y = z.x + t * (anchor.x - z.x), z.y + t * (anchor.y - z.y)
-            _require_finite(x, y)  # as a Point2 would, losers included
+            # A direction of subnormal length overflows t; refused even
+            # where the projection would lose.
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DegenerateDirection(
+                    f"radial projection onto circle {j + 1} is not finite")
             candidates.append((x, y, "RegionProjection"))
 
     winners, vmin = _argmin_set(config, candidates, length)
@@ -472,12 +476,12 @@ def _scan(config: SensorConfig, length: float, tol: float) -> SolutionSet:
 # ---------------------------------------------------------------------------
 # dispatch
 
-_PAIR_NAME = {frozenset((i, j)): name for name, i, j, _ in _PAIRS}
+_PAIR_NAME = {frozenset((i, j)): name for name, i, j in _PAIRS}
 
 
 def _remap_role(role: Role, perm: Tuple[int, int, int]) -> Role:
     if role in _PAIR_BY_ROLE:
-        i, j, _, plus = _PAIR_BY_ROLE[role]
+        i, j, plus = _PAIR_BY_ROLE[role]
         name = _PAIR_NAME[frozenset((perm[i], perm[j]))]
         return name + ("plus" if plus else "minus")
     if role == "Y0":
@@ -514,7 +518,7 @@ def solve(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
         d1 = (d[0] + d[1]) / 2.0
         sol = solve_isosceles(sub.r, sub.s, d1, d[2], tol=tol)
         points = tuple(
-            CandidatePoint(sub.transform.invert(c.location),
+            CandidatePoint(sub.invert(c.location),
                            _remap_role(c.role, perm))
             for c in sol.points)
         value = min(objective_value(config, c.location) for c in points)

@@ -21,19 +21,12 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import classifier, thresholds
-from .errors import (BoundsTooSmall, ConcentricIdentical,
-                     DegenerateDirection, DegenerateTriangle,
-                     MissingIntersection, NoBracket, NoiseRejection,
-                     PreconditionViolation)
+from .errors import PreconditionViolation, TrilatError
 from .geometry import (NoiseSpec, Point2, SensorConfig, canonical_frame,
                        config_scale, distance, generate_instance)
 from .regions import objective_table
 
 SCHEMA = "trilat/1"
-
-_DEGENERATE_ERRORS = (ConcentricIdentical, DegenerateDirection,
-                      DegenerateTriangle, MissingIntersection, NoBracket,
-                      PreconditionViolation, BoundsTooSmall, NoiseRejection)
 
 
 class _SchemaError(Exception):
@@ -117,10 +110,10 @@ def refined_tail_base() -> float:
 # instance parsing
 
 def _as_point(raw: Any, what: str) -> Point2:
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not all(isinstance(v, (int, float)) for v in raw)):
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise _SchemaError(f"{what} must be a [x, y] pair")
-    return Point2(float(raw[0]), float(raw[1]))
+    return Point2(_as_number(raw[0], f"{what} x"),
+                  _as_number(raw[1], f"{what} y"))
 
 
 def _as_number(raw: Any, what: str) -> float:
@@ -411,20 +404,12 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
         raise PreconditionViolation("thresholds need equal base ranges")
     d1 = (config.d[0] + config.d[1]) / 2.0
     bundle = thresholds.compute_bundle(frame.r, frame.s, d1, config.d[2])
-    fields = {
-        "d3_0": bundle.d3_0, "d1_0": bundle.d1_0,
-        "R": bundle.R, "M": bundle.M, "P": bundle.P, "Q": bundle.Q,
-        "d3_star": bundle.d3_star, "t_star": bundle.t_star,
-    }
-    overflowed = [name for name, value in fields.items()
-                  if value is not None and not math.isfinite(value)]
-    if overflowed:
-        raise PreconditionViolation(
-            f"thresholds {', '.join(overflowed)} are not finite at this scale")
     payload = {
         "schema": SCHEMA,
         "r": frame.r, "s": frame.s, "d1": d1, "d3": config.d[2],
-        **fields,
+        "d3_0": bundle.d3_0, "d1_0": bundle.d1_0,
+        "R": bundle.R, "M": bundle.M, "P": bundle.P, "Q": bundle.Q,
+        "d3_star": bundle.d3_star, "t_star": bundle.t_star,
         "validity": bundle.validity(),
     }
     _emit_json(payload)
@@ -544,7 +529,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _SchemaError as exc:
         _emit_error("schema", exc)
         return 3
-    except _DEGENERATE_ERRORS as exc:
+    except TrilatError as exc:
         _emit_error(type(exc).__name__, exc)
         return 2
 

@@ -1,4 +1,4 @@
-"""Planar primitives: points, circles, circle intersections, canonical frames.
+"""Planar primitives: points, range-circle intersections, canonical frames.
 
 Pure floating-point geometry with explicit scale-relative tolerances.  Near
 tangency the intersection routine snaps to a single point instead of trying
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import (ConcentricIdentical, DegenerateDirection,
                      DegenerateTriangle, NoiseRejection)
@@ -37,34 +37,6 @@ def distance(p: Point2, q: Point2) -> float:
 
 
 @dataclass(frozen=True)
-class Circle:
-    center: Point2
-    radius: float
-
-    def __post_init__(self) -> None:
-        _require_finite(self.radius)
-        if self.radius < 0.0:
-            raise ValueError("negative radius: %r" % (self.radius,))
-
-
-@dataclass(frozen=True)
-class IntersectionPair:
-    """0, 1 or 2 intersection points; ``plus_point`` is nearer the third sensor."""
-
-    count: int
-    plus_point: Optional[Point2]
-    minus_point: Optional[Point2]
-
-    def points(self) -> List[Point2]:
-        """Distinct intersection points ([], [p] or [plus, minus])."""
-        if self.count == 0:
-            return []
-        if self.count == 1:
-            return [self.plus_point]
-        return [self.plus_point, self.minus_point]
-
-
-@dataclass(frozen=True)
 class SensorConfig:
     """Three sensor positions and their measured ranges."""
 
@@ -87,9 +59,6 @@ class SensorConfig:
         z = (Point2(-r / 2.0, 0.0), Point2(r / 2.0, 0.0), Point2(0.0, s))
         return cls(z, tuple(d))
 
-    def circles(self) -> Tuple[Circle, Circle, Circle]:
-        return tuple(Circle(z, dj) for z, dj in zip(self.Z, self.d))
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -108,7 +77,8 @@ def generate_instance(source: Point2, sensors: Sequence[Point2],
     """Ranges measured from a source point, with optional perturbation.
 
     Deterministic for a given seed.  A perturbed range must stay
-    nonnegative; after 100 rejected draws the instance is abandoned.
+    nonnegative and finite; after 100 rejected draws the instance is
+    abandoned.
     """
     rng = random.Random(seed)
     ranges: List[float] = []
@@ -122,12 +92,12 @@ def generate_instance(source: Point2, sensors: Sequence[Point2],
                 delta = rng.uniform(-noise.scale, noise.scale)
             else:
                 delta = rng.gauss(0.0, noise.scale)
-            if base + delta >= 0.0:
+            if 0.0 <= base + delta < math.inf:
                 ranges.append(base + delta)
                 break
         else:
             raise NoiseRejection(
-                f"could not draw a nonnegative range near {base:.6g}")
+                f"could not draw a finite nonnegative range near {base:.6g}")
     return SensorConfig(tuple(sensors), tuple(ranges))
 
 
@@ -138,43 +108,41 @@ def config_scale(config: SensorConfig) -> float:
     return span + max(config.d)
 
 
-def circle_circle_intersect(a: Circle, b: Circle,
-                            third_sensor: Point2) -> IntersectionPair:
-    """Intersect two circles and order the points relative to a third point.
+def circle_circle_intersect(config: SensorConfig, i: int,
+                            j: int) -> Tuple[Point2, ...]:
+    """Distinct meeting points of range circles i and j: (), (p,) or
+    (plus, minus).
 
-    The "plus" point is the one nearer ``third_sensor``.  When the two
-    distances to it differ by at most tol, the lexicographically smaller
-    (y, then x) point is "plus", so "plus" may be farther by up to tol.
-    Within tol of tangency the pair snaps to a single point.  The band tol
-    is 1e-9 * (r_a + r_b + center distance).
+    The "plus" point is the one nearer the third sensor, ``config.Z[3 - i -
+    j]``.  When the two distances to it differ by at most tol, the
+    lexicographically smaller (y, then x) point is "plus", so "plus" may be
+    farther by up to tol.  Within tol of tangency the pair snaps to a single
+    point.  The band tol is 1e-9 * (d_i + d_j + center distance).
     """
-    dx = b.center.x - a.center.x
-    dy = b.center.y - a.center.y
+    a, b, third = config.Z[i], config.Z[j], config.Z[3 - i - j]
+    ra, rb = config.d[i], config.d[j]
+    dx = b.x - a.x
+    dy = b.y - a.y
     dist = math.hypot(dx, dy)
-    tol = 1e-9 * (a.radius + b.radius + dist)
-    if dist <= tol and abs(a.radius - b.radius) <= tol:
+    tol = 1e-9 * (ra + rb + dist)
+    if dist <= tol and abs(ra - rb) <= tol:
         raise ConcentricIdentical("circles coincide within tolerance")
-    if dist > a.radius + b.radius + tol or dist < abs(a.radius - b.radius) - tol:
-        return IntersectionPair(0, None, None)
+    if dist > ra + rb + tol or dist < abs(ra - rb) - tol:
+        return ()
     # Distance from a's center to the chord foot, along the line of centers.
-    xm = (dist * dist + a.radius * a.radius - b.radius * b.radius) / (2.0 * dist)
+    xm = (dist * dist + ra * ra - rb * rb) / (2.0 * dist)
     ux, uy = dx / dist, dy / dist
-    fx, fy = a.center.x + xm * ux, a.center.y + xm * uy
-    if (abs(dist - (a.radius + b.radius)) <= tol
-            or abs(dist - abs(a.radius - b.radius)) <= tol):
-        p = Point2(fx, fy)
-        return IntersectionPair(1, p, p)
-    h = math.sqrt(max(a.radius * a.radius - xm * xm, 0.0))
+    fx, fy = a.x + xm * ux, a.y + xm * uy
+    if abs(dist - (ra + rb)) <= tol or abs(dist - abs(ra - rb)) <= tol:
+        return (Point2(fx, fy),)
+    h = math.sqrt(max(ra * ra - xm * xm, 0.0))
     p1 = Point2(fx - h * uy, fy + h * ux)
     p2 = Point2(fx + h * uy, fy - h * ux)
-    da = distance(p1, third_sensor)
-    db = distance(p2, third_sensor)
+    da = distance(p1, third)
+    db = distance(p2, third)
     if abs(da - db) <= tol:
-        lo, hi = sorted((p1, p2), key=lambda p: (p.y, p.x))
-        return IntersectionPair(2, lo, hi)
-    if da < db:
-        return IntersectionPair(2, p1, p2)
-    return IntersectionPair(2, p2, p1)
+        return tuple(sorted((p1, p2), key=lambda p: (p.y, p.x)))
+    return (p1, p2) if da < db else (p2, p1)
 
 
 def centroid_points(z1: Point2, z2: Point2, z3: Point2
@@ -201,9 +169,13 @@ def n3_point(config: SensorConfig) -> Point2:
 
 
 @dataclass(frozen=True)
-class RigidMotion:
-    """World -> frame map q = B(p - o) with orthonormal rows u=(ux,uy), v=(vx,vy)."""
+class CanonicalFrame:
+    """Base length r, apex distance s and the world -> frame motion
+    q = B(p - o), B with orthonormal rows u = (ux, uy), v = (vx, vy)."""
 
+    r: float
+    s: float
+    isosceles: bool  # apex on the base bisector
     ux: float
     uy: float
     vx: float
@@ -211,22 +183,10 @@ class RigidMotion:
     ox: float
     oy: float
 
-    def apply(self, p: Point2) -> Point2:
-        dx, dy = p.x - self.ox, p.y - self.oy
-        return Point2(self.ux * dx + self.uy * dy, self.vx * dx + self.vy * dy)
-
     def invert(self, q: Point2) -> Point2:
+        """The world point of frame point ``q``."""
         return Point2(self.ox + self.ux * q.x + self.vx * q.y,
                       self.oy + self.uy * q.x + self.vy * q.y)
-
-
-@dataclass(frozen=True)
-class CanonicalFrame:
-    transform: RigidMotion
-    r: float
-    s: float
-    isosceles: bool  # apex on the base bisector
-    apex: Point2  # frame coordinates of the third sensor
 
 
 def _frame_basis(z1: Point2, z2: Point2, z3: Point2, tol: float
@@ -261,6 +221,4 @@ def canonical_frame(z1: Point2, z2: Point2, z3: Point2,
     bisector.
     """
     r, ax, ay, motion = _frame_basis(z1, z2, z3, tol)
-    return CanonicalFrame(transform=RigidMotion(*motion), r=r,
-                          s=math.hypot(ax, ay), isosceles=abs(ax) <= tol * r,
-                          apex=Point2(ax, ay))
+    return CanonicalFrame(r, math.hypot(ax, ay), abs(ax) <= tol * r, *motion)

@@ -311,15 +311,13 @@ def _refine_rep(config: SensorConfig, zs: _Terms, dsq: Sequence[float],
                 t = dj / norm
                 candidates += [(zx + t * ux, zy + t * uy),
                                (zx - t * ux, zy - t * uy)]
-    circles = config.circles()
     for a, i in enumerate(near):
         for j in near[a + 1:]:
             try:
-                pair = circle_circle_intersect(circles[i], circles[j],
-                                               config.Z[3 - i - j])
+                pts = circle_circle_intersect(config, i, j)
             except ConcentricIdentical:
                 continue
-            candidates += [(p.x, p.y) for p in pair.points()]
+            candidates += [(p.x, p.y) for p in pts]
     best_x, best_y = x, y
     best = _objective_scalar(zs, dsq, x, y)
     for cx, cy in candidates:

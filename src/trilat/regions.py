@@ -21,9 +21,9 @@ def objective_value(config: SensorConfig, w: Point2) -> float:
     return objective_at(config.Z, config.d, w.x, w.y)
 
 
-_TABLE_PAIRS: Tuple[Tuple[str, int, int, int], ...] = (
-    ("S12+", 0, 1, 2), ("S23+", 1, 2, 0), ("S31+", 2, 0, 1),
-    ("S12-", 0, 1, 2), ("S23-", 1, 2, 0), ("S31-", 2, 0, 1),
+_TABLE_PAIRS: Tuple[Tuple[str, int, int], ...] = (
+    ("S12+", 0, 1), ("S23+", 1, 2), ("S31+", 2, 0),
+    ("S12-", 0, 1), ("S23-", 1, 2), ("S31-", 2, 0),
 )
 
 
@@ -35,13 +35,12 @@ def objective_table(config: SensorConfig,
     length scale ``config_scale``; pass a display-level tolerance when the
     inputs themselves are rounded.
     """
-    circles = config.circles()
     values: List[Tuple[str, float]] = []
-    for label, i, j, k in _TABLE_PAIRS:
-        pair = circle_circle_intersect(circles[i], circles[j], config.Z[k])
-        if pair.count == 0:
+    for label, i, j in _TABLE_PAIRS:
+        pts = circle_circle_intersect(config, i, j)
+        if not pts:
             raise MissingIntersection(f"circles {label[:3]} do not meet")
-        point = pair.plus_point if label.endswith("+") else pair.minus_point
+        point = pts[0] if label.endswith("+") else pts[-1]
         values.append((label, objective_value(config, point)))
     vmin = min(v for _, v in values)
     length = config_scale(config)

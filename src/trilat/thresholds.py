@@ -173,16 +173,27 @@ class RowThresholds:
     star: Optional[D3StarResult]
 
 
+def _unit(total: float) -> float:
+    """The power of two at or below ``total``, a sum of lengths.  The
+    thresholds are homogeneous lengths built from degree-4 terms: in this
+    unit the terms stay in range at every usable scale, and the scaling is
+    exact."""
+    return math.ldexp(1.0, math.frexp(total)[1] - 1)
+
+
 # One entry: a solve reads its key twice (tables, then near-threshold
 # report), and a sweep visits the cells of one d1 row in a row.
 @functools.lru_cache(maxsize=1)
 def row_thresholds(r: float, s: float, d1: float) -> RowThresholds:
     """P, R, M, the four-equal radius d3m and d3* for one (r, s, d1).
 
-    The formulas divide by sums of r^2 and s^2, so the base length r must
-    have a normal square: below that the denominators underflow to 0.
+    They are evaluated in units of ``_unit(r + s + d1)``.  The formulas divide
+    by sums of r^2 and s^2, so the base length in those units must have a
+    normal square: below that the denominators underflow to 0.
     """
-    _require_usable_scale(r, "base length")
+    unit = _unit(r + s + d1)
+    r, s, d1 = r / unit, s / unit, d1 / unit
+    _require_usable_scale(r, "base length relative to r + s + d1")
     p = threshold_P(r, s)
     star: Optional[D3StarResult] = None
     if p is not None and d1 > p:
@@ -194,16 +205,18 @@ def row_thresholds(r: float, s: float, d1: float) -> RowThresholds:
         big_m: Optional[float] = threshold_M(r, s, d1)
     except PreconditionViolation:
         big_m = None
+    p_flat = threshold_P_flat(r, s)
     chord_sq = d1 * d1 - r * r / 4.0
     d3m_sq = chord_sq - s * s
     return RowThresholds(
-        h=math.sqrt(max(chord_sq, 0.0)),
-        P=p,
-        P_flat=threshold_P_flat(r, s),
-        R=threshold_R(r, s, d1) if d1 * d1 >= r * r / 4.0 else None,
-        M=big_m,
-        d3m=math.sqrt(d3m_sq) if d3m_sq >= 0.0 else None,
-        star=star,
+        h=math.sqrt(max(chord_sq, 0.0)) * unit,
+        P=p * unit if p is not None else None,
+        P_flat=p_flat * unit if p_flat is not None else None,
+        R=threshold_R(r, s, d1) * unit if d1 * d1 >= r * r / 4.0 else None,
+        M=big_m * unit if big_m is not None else None,
+        d3m=math.sqrt(d3m_sq) * unit if d3m_sq >= 0.0 else None,
+        star=(D3StarResult(star.value * unit, star.t_star)
+              if star is not None else None),
     )
 
 
@@ -234,28 +247,36 @@ class ThresholdBundle:
 
 def compute_bundle(r: float, s: float, d1: float,
                    d3: Optional[float] = None) -> ThresholdBundle:
-    """Evaluate every threshold whose precondition holds; None elsewhere."""
+    """Evaluate every threshold whose precondition holds; None elsewhere.
+
+    Its own are evaluated in units of ``_unit``, d3 among the lengths.
+    """
+    row = row_thresholds(r, s, d1)
+    p = row.P
+    star = row.star if p is not None and d1 > p + 1e-12 * p else None
+    unit = _unit(r + s + d1 + (d3 or 0.0))
+    r, s, d1 = r / unit, s / unit, d1 / unit
     leg_sq = s * s + r * r / 4.0
-    d3_0 = math.sqrt(d1 * d1 + s * s - r * r / 4.0) if 2.0 * d1 >= r else None
+    d3_0 = (math.sqrt(d1 * d1 + s * s - r * r / 4.0) * unit
+            if 2.0 * d1 >= r else None)
     d1_0 = None
     if d3 is not None and leg_sq > 0.0:
+        d3 = d3 / unit
         radicand = (d1 * d1
                     + (leg_sq + d3 * d3 - d1 * d1) * r * r / (2.0 * leg_sq))
         # A negative radicand means d1 already exceeds the crossover for
         # every real d3, so the threshold is not attained.
-        d1_0 = math.sqrt(radicand) if radicand >= 0.0 else None
+        d1_0 = math.sqrt(radicand) * unit if radicand >= 0.0 else None
     a = math.sqrt(r * r / 4.0 + s * s / 9.0)
     b = math.sqrt(leg_sq)
-    row = row_thresholds(r, s, d1)
-    p = row.P
-    star = row.star if p is not None and d1 > p + 1e-12 * p else None
+    q = threshold_Q(r, s)
     return ThresholdBundle(
         d3_0=d3_0,
         d1_0=d1_0,
         R=row.R if d1 >= a else None,
         M=row.M if d1 >= b else None,
         P=p,
-        Q=threshold_Q(r, s),
+        Q=q * unit if q is not None else None,
         d3_star=star.value if star is not None else None,
         t_star=star.t_star if star is not None else None,
     )

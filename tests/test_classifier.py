@@ -547,9 +547,9 @@ def test_cell_order_does_not_change_answers(name):
 # return equal SolutionSets (floats and roles included) and the same refusals.
 
 _REF_PAIR_SPECS = (
-    ("S12plus", 0, 1, 2, True), ("S12minus", 0, 1, 2, False),
-    ("S23plus", 1, 2, 0, True), ("S23minus", 1, 2, 0, False),
-    ("S31plus", 2, 0, 1, True), ("S31minus", 2, 0, 1, False),
+    ("S12plus", 0, 1, True), ("S12minus", 0, 1, False),
+    ("S23plus", 1, 2, True), ("S23minus", 1, 2, False),
+    ("S31plus", 2, 0, True), ("S31minus", 2, 0, False),
 )
 
 
@@ -604,13 +604,12 @@ def _ref_solve_general(config, tol=1e-9):
     canonical_frame(*config.Z, tol=tol)
     scale = 1.0 + config_scale(config)
     eps = tol * scale
-    circles = config.circles()
     candidates = []
-    for role, i, j, k, plus in _REF_PAIR_SPECS:
-        pair = circle_circle_intersect(circles[i], circles[j], config.Z[k])
-        if pair.count:
-            p = pair.plus_point if plus else pair.minus_point
-            candidates.append(CandidatePoint(p, role))
+    for role, i, j, plus in _REF_PAIR_SPECS:
+        pts = circle_circle_intersect(config, i, j)
+        if pts:
+            candidates.append(CandidatePoint(pts[0] if plus else pts[-1],
+                                             role))
     cents = centroid_points(*config.Z)
     if _ref_in_region(config, cents[0], (0, 0, 0), eps):
         candidates.append(CandidatePoint(cents[0], "Y0"))
@@ -636,7 +635,7 @@ def _ref_solve(config, tol=1e-9):
             continue
         sol = solve_isosceles(sub.r, sub.s, (d[0] + d[1]) / 2.0, d[2], tol=tol)
         points = tuple(
-            CandidatePoint(sub.transform.invert(c.location),
+            CandidatePoint(sub.invert(c.location),
                            classifier._remap_role(c.role, perm))
             for c in sol.points)
         value = min(objective_value(config, c.location) for c in points)
@@ -747,6 +746,14 @@ def test_solve_refuses_as_the_reference(name):
         with pytest.raises(DegenerateTriangle) as err:
             fn(cfg)
         assert str(err.value) == message
+
+
+def test_conditions_refuse_an_unusable_scale_as_the_tables():
+    """The thresholds are evaluated free of units, so the length-scale check
+    is what refuses a cell whose L^2 overflows."""
+    for call in (solve_isosceles, multiplicity_conditions):
+        with pytest.raises(PreconditionViolation, match="length scale"):
+            call(1e300, 1e300, 1e300, 1e300)
 
 
 def test_general_scan_refuses_an_unusable_scale_as_solve():

@@ -126,12 +126,42 @@ def test_schema_violations_exit_3(tmp_path, capsys):
         {"r": 2.0, "s": 3.0, "d": [1.0, 2.0, 3.0],
          "ranges": {"d1": 1, "d2": 2, "d3": 3}},               # two range keys
         {"r": 2.0, "s": 3.0, "d": [1.0, -2.0, 3.0]},           # negative
+        {"sensors": [[True, 0], [1, 0], [0, 1]], "d": [1, 1, 1]},  # bool
     ]
     for obj in cases:
         rc, out, err = run(capsys, ["solve", write_instance(tmp_path, obj)])
         assert rc == 3, obj
         assert out == ""
         assert json.loads(err)["error"]["code"] == "schema"
+
+
+# Inputs that once ended in a traceback: non-finite coordinates, a noisy
+# range that overflows, and a radial direction of subnormal length.
+@pytest.mark.parametrize("argv,text,code", [
+    (["solve"], '{"sensors": [[1e999, 0], [1, 0], [0, 1]], "d": [1, 1, 1]}',
+     "schema"),
+    (["solve"], '{"sensors": [[NaN, 0], [1, 0], [0, 1]], "d": [1, 1, 1]}',
+     "schema"),
+    (["solve"], '{"sensors": [[0, 0], [1, 0], [0, 1]],'
+                ' "generator": {"source": [1e999, 0]}}', "schema"),
+    (["solve"], '{"sensors": [[0, 0], [1, 0], [0, 1]],'
+                ' "generator": {"source": [0.2, 0.3],'
+                ' "noise": {"kind": "uniform", "scale": 1e308}}}',
+     "NoiseRejection"),
+    (["solve", "--tol", "0"],
+     '{"sensors": [[0, 0], [1, 0], [1e-310, 1e-310]], "d": [1, 2, 3]}',
+     "DegenerateDirection"),
+], ids=["inf-sensor", "nan-sensor", "inf-source", "overflowing-noise",
+        "subnormal-direction"])
+def test_non_finite_values_exit_with_one_json_error(tmp_path, capsys, argv,
+                                                     text, code):
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, [*argv, str(path)])
+    assert rc == (3 if code == "schema" else 2)
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["code"] == code
 
 
 def test_unreadable_and_malformed_files(tmp_path, capsys):
@@ -204,16 +234,20 @@ def test_sweep_at_extreme_scale_exits_2(capsys):
 
 
 def test_scale_scan_never_crashes(tmp_path, capsys):
-    """Scaled symmetric and general instances exit 0, 2 or 3, never raise."""
+    """Scaled symmetric and general instances exit 0, 2 or 3, never raise,
+    and print strict JSON: no NaN or Infinity."""
     for e in range(-320, 301, 10):
         x = 10.0 ** e
         for obj in ({"r": x, "s": x, "d": [x, x, x]},
+                    {"r": 2.0 * x, "s": 3.0 * x,
+                     "d": [v * x for v in FIVE_WAY_EXACT["d"]]},
                     {"sensors": [[0.0, 0.0], [3.0 * x, 0.0], [x, 2.0 * x]],
                      "d": [2.0 * x, 2.5 * x, 1.5 * x]}):
             rc, out, err = run(capsys, ["solve", write_instance(tmp_path, obj)])
             assert rc in (0, 2, 3), (e, obj)
             if rc == 0:
-                assert json.loads(out)["multiplicity"] >= 1, (e, obj)
+                payload = json.loads(out, parse_constant=_reject_constant)
+                assert payload["multiplicity"] >= 1, (e, obj)
             else:
                 assert out == "" and "error" in json.loads(err), (e, obj)
 
@@ -324,18 +358,25 @@ def _reject_constant(name):
 
 
 def test_thresholds_scale_scan_prints_strict_json(tmp_path, capsys):
-    """Scaled bundles exit 0 with finite fields or 2, never a traceback."""
+    """Scaled bundles exit 0 with finite fields or 2, never a traceback.
+
+    Wherever ``solve`` answers, so do the thresholds, with the validity
+    they have at unit scale.
+    """
     names = ("d3_0", "d1_0", "R", "M", "P", "Q", "d3_star", "t_star")
     for base in ({"r": 1.0, "s": 1.0, "d": [1.0, 1.0, 1.0]}, FIVE_WAY_EXACT,
                  {"r": 2.0, "s": 3.0, "d": [9.0, 9.0, 7.0]},
                  {"r": 2.0, "s": 1.0, "d": [4.4721, 4.4721, 3.9155]}):
-        for e in range(-320, 301, 10):
+        validity = None
+        for e in [0, *range(-320, 301, 10)]:
             x = 10.0 ** e
             obj = {"r": base["r"] * x, "s": base["s"] * x,
                    "d": [v * x for v in base["d"]]}
-            rc, out, err = run(capsys, ["thresholds",
-                                        write_instance(tmp_path, obj)])
-            assert rc in ((0,) if e == 0 else (0, 2)), (e, base)
+            path = write_instance(tmp_path, obj)
+            solved = run(capsys, ["solve", path])[0] == 0
+            assert solved or e != 0, base
+            rc, out, err = run(capsys, ["thresholds", path])
+            assert rc in ((0,) if solved else (0, 2)), (e, base)
             if rc == 2:
                 assert out == "", (e, base)
                 assert (json.loads(err)["error"]["code"]
@@ -344,6 +385,9 @@ def test_thresholds_scale_scan_prints_strict_json(tmp_path, capsys):
             payload = json.loads(out, parse_constant=_reject_constant)
             assert all(payload[k] is None or math.isfinite(payload[k])
                        for k in names), (e, base)
+            validity = validity or payload["validity"]
+            if solved:
+                assert payload["validity"] == validity, (e, base)
 
 
 def test_tiny_base_under_unit_ranges_exits_cleanly(tmp_path, capsys):

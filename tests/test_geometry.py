@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import S3, canonical
 from trilat.errors import DegenerateTriangle
-from trilat.geometry import (Circle, Point2, SensorConfig, canonical_frame,
+from trilat.geometry import (Point2, SensorConfig, canonical_frame,
                              centroid_points, circle_circle_intersect,
                              config_scale, distance, n3_point)
 
@@ -20,22 +20,31 @@ from trilat.geometry import (Circle, Point2, SensorConfig, canonical_frame,
 coords = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 radii = st.floats(0.05, 15.0, allow_nan=False, allow_infinity=False)
 points = st.builds(Point2, coords, coords)
-circles = st.builds(Circle, points, radii)
+# A circle is a (center, radius) pair.
+circles = st.tuples(points, radii)
 
 
 @st.composite
 def meeting_pairs(draw):
     """Two circles whose center distance lies strictly between |ra - rb|
     and ra + rb, so that they meet in two points."""
-    a = draw(circles)
+    center_a, ra = a = draw(circles)
     rb = draw(radii)
     frac = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     angle = draw(st.floats(0.0, 2.0 * math.pi))
-    lo, hi = abs(a.radius - rb), a.radius + rb
+    lo, hi = abs(ra - rb), ra + rb
     gap = lo + frac * (hi - lo)
-    center = Point2(a.center.x + gap * math.cos(angle),
-                    a.center.y + gap * math.sin(angle))
-    return a, Circle(center, rb)
+    center = Point2(center_a.x + gap * math.cos(angle),
+                    center_a.y + gap * math.sin(angle))
+    return a, (center, rb)
+
+
+def _intersect(a, b, third):
+    """Circles a and b as the range circles of sensors 1 and 2, with the
+    third sensor at ``third``."""
+    (za, ra), (zb, rb) = a, b
+    return circle_circle_intersect(SensorConfig((za, zb, third),
+                                                (ra, rb, 0.0)), 0, 1)
 
 
 def _triangle_area(a: Point2, b: Point2, c: Point2) -> float:
@@ -45,62 +54,63 @@ def _triangle_area(a: Point2, b: Point2, c: Point2) -> float:
 class TestCircleIntersect:
     def test_two_point_example(self):
         """Symmetric circles on the x-axis meet on the y-axis."""
-        pair = circle_circle_intersect(Circle(Point2(-1, 0), 2.6),
-                                       Circle(Point2(1, 0), 2.6),
-                                       Point2(0, S3))
-        assert pair.count == 2
-        assert abs(pair.plus_point.x) < 1e-12
-        assert abs(pair.plus_point.y - 2.4) < 1e-12
-        assert abs(pair.minus_point.y + 2.4) < 1e-12
+        plus, minus = _intersect((Point2(-1, 0), 2.6), (Point2(1, 0), 2.6),
+                                 Point2(0, S3))
+        assert abs(plus.x) < 1e-12
+        assert abs(plus.y - 2.4) < 1e-12
+        assert abs(minus.y + 2.4) < 1e-12
+
+    def test_third_sensor_is_the_other_index(self):
+        """Each pair (i, j) of one layout orders by sensor 3 - i - j."""
+        cfg = canonical(2.0, S3, 2.6, 2.6)
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            plus, minus = circle_circle_intersect(cfg, i, j)
+            third = cfg.Z[3 - i - j]
+            assert distance(plus, third) < distance(minus, third)
 
     def test_disjoint(self):
-        pair = circle_circle_intersect(Circle(Point2(0, 0), 1),
-                                       Circle(Point2(10, 0), 1), Point2(0, 1))
-        assert pair.count == 0
-        assert pair.points() == []
+        assert _intersect((Point2(0, 0), 1), (Point2(10, 0), 1),
+                          Point2(0, 1)) == ()
 
     def test_contained(self):
-        pair = circle_circle_intersect(Circle(Point2(0, 0), 5),
-                                       Circle(Point2(1, 0), 1), Point2(0, 1))
-        assert pair.count == 0
+        assert _intersect((Point2(0, 0), 5), (Point2(1, 0), 1),
+                          Point2(0, 1)) == ()
 
     def test_tangent_snaps_to_single_point(self):
-        pair = circle_circle_intersect(Circle(Point2(0, 0), 1),
-                                       Circle(Point2(2, 0), 1), Point2(5, 5))
-        assert pair.count == 1
-        assert abs(pair.plus_point.x - 1) < 1e-9
-        assert abs(pair.plus_point.y) < 1e-9
+        (p,) = _intersect((Point2(0, 0), 1), (Point2(2, 0), 1), Point2(5, 5))
+        assert abs(p.x - 1) < 1e-9
+        assert abs(p.y) < 1e-9
 
     @given(a=circles, b=circles)
     @settings(max_examples=200)
     def test_points_lie_on_both_circles(self, a, b):
         """Any reported intersection satisfies both circle equations."""
-        gap = distance(a.center, b.center)
+        (za, ra), (zb, rb) = a, b
+        gap = distance(za, zb)
         assume(gap > 1e-6)
-        pair = circle_circle_intersect(a, b, Point2(0, 0))
-        for p in pair.points():
-            scale = a.radius + b.radius + 1.0
-            assert abs(distance(p, a.center) - a.radius) <= 1e-7 * scale
-            assert abs(distance(p, b.center) - b.radius) <= 1e-7 * scale
+        for p in _intersect(a, b, Point2(0, 0)):
+            scale = ra + rb + 1.0
+            assert abs(distance(p, za) - ra) <= 1e-7 * scale
+            assert abs(distance(p, zb) - rb) <= 1e-7 * scale
 
     @given(circle_pair=meeting_pairs(), third=points)
-    @example(circle_pair=(Circle(Point2(0.0, 0.0), 1.0),
-                          Circle(Point2(10.0, -1.19e-7), 10.0)),
+    @example(circle_pair=((Point2(0.0, 0.0), 1.0),
+                          (Point2(10.0, -1.19e-7), 10.0)),
              third=Point2(1.0, 0.0))
     @settings(max_examples=200)
     def test_plus_point_is_nearer_third(self, circle_pair, third):
         """The '+' point is never farther from the third sensor than '-'
         by more than the tie tolerance, within which the order is by y."""
-        a, b = circle_pair
-        gap = distance(a.center, b.center)
+        (za, ra), (zb, rb) = a, b = circle_pair
+        gap = distance(za, zb)
         assume(gap > 1e-6)
-        pair = circle_circle_intersect(a, b, third)
-        assume(pair.count == 2)
-        sep = distance(pair.plus_point, pair.minus_point)
+        pts = _intersect(a, b, third)
+        assume(len(pts) == 2)
+        plus, minus = pts
+        sep = distance(plus, minus)
         assume(sep > 1e-9)  # orientation is a coin flip at a tangency
-        assert (distance(pair.plus_point, third)
-                <= distance(pair.minus_point, third)
-                + 1e-9 * (a.radius + b.radius + gap))
+        assert (distance(plus, third)
+                <= distance(minus, third) + 1e-9 * (ra + rb + gap))
 
 
 class TestCentroidCompanions:
@@ -149,8 +159,7 @@ class TestCanonicalFrame:
         assert abs(fr.r - 4) < 1e-12 and abs(fr.s - 6) < 1e-12
         assert fr.isosceles
         targets = (Point2(-2, 0), Point2(2, 0), Point2(0, 6))
-        res = max(distance(fr.transform.apply(z), t)
-                  for z, t in zip(zs, targets))
+        res = max(distance(fr.invert(t), z) for z, t in zip(zs, targets))
         assert res < 1e-12
 
     def test_off_axis_apex_within_tol_is_isosceles(self):
@@ -163,24 +172,27 @@ class TestCanonicalFrame:
         with pytest.raises(DegenerateTriangle):
             canonical_frame(Point2(0, 0), Point2(1, 0), Point2(2, 0))
 
-    @given(a=points, b=points, c=points, probe=points)
-    @settings(max_examples=200)
-    def test_motion_roundtrip(self, a, b, c, probe):
-        """apply then invert is the identity, for any non-degenerate input."""
-        assume(_triangle_area(a, b, c) > 1e-3)
-        fr = canonical_frame(a, b, c)
-        back = fr.transform.invert(fr.transform.apply(probe))
-        assert distance(back, probe) < 1e-8 * (1.0 + abs(probe.x) + abs(probe.y))
-
     @given(a=points, b=points, c=points)
     @settings(max_examples=200)
-    def test_motion_preserves_distances(self, a, b, c):
+    def test_invert_places_the_base_and_apex(self, a, b, c):
+        """invert maps (-r/2, 0) to Z1 and (r/2, 0) to Z2, and the origin,
+        the base midpoint, to a point s from Z3, for any non-degenerate
+        input."""
         assume(_triangle_area(a, b, c) > 1e-3)
         fr = canonical_frame(a, b, c)
-        for p, q in ((a, b), (b, c), (c, a)):
-            d_before = distance(p, q)
-            d_after = distance(fr.transform.apply(p), fr.transform.apply(q))
-            assert abs(d_before - d_after) < 1e-8 * (1.0 + d_before)
+        tol = 1e-8 * (1.0 + max(abs(v) for z in (a, b, c) for v in (z.x, z.y)))
+        assert distance(fr.invert(Point2(-fr.r / 2.0, 0.0)), a) < tol
+        assert distance(fr.invert(Point2(fr.r / 2.0, 0.0)), b) < tol
+        assert abs(distance(fr.invert(Point2(0.0, 0.0)), c) - fr.s) < tol
+
+    @given(a=points, b=points, c=points, p=points, q=points)
+    @settings(max_examples=200)
+    def test_motion_preserves_distances(self, a, b, c, p, q):
+        assume(_triangle_area(a, b, c) > 1e-3)
+        fr = canonical_frame(a, b, c)
+        d_before = distance(p, q)
+        d_after = distance(fr.invert(p), fr.invert(q))
+        assert abs(d_before - d_after) < 1e-8 * (1.0 + d_before)
 
 
 class TestNearestPointN3:

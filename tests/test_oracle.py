@@ -641,15 +641,13 @@ def test_noisy_instances_have_positive_minimum():
 def _objective_table_on_arrays(config, tie_tol=1e-9):
     """``objective_table`` as the oracle computed it, on its sensor arrays."""
     zs, dsq = (a.tolist() for a in oracle._sensor_arrays(config))
-    circles = config.circles()
     values = []
-    for label, i, j, k in (("S12+", 0, 1, 2), ("S23+", 1, 2, 0),
-                           ("S31+", 2, 0, 1), ("S12-", 0, 1, 2),
-                           ("S23-", 1, 2, 0), ("S31-", 2, 0, 1)):
-        pair = circle_circle_intersect(circles[i], circles[j], config.Z[k])
-        if pair.count == 0:
+    for label, i, j in (("S12+", 0, 1), ("S23+", 1, 2), ("S31+", 2, 0),
+                        ("S12-", 0, 1), ("S23-", 1, 2), ("S31-", 2, 0)):
+        pts = circle_circle_intersect(config, i, j)
+        if not pts:
             raise MissingIntersection(label)
-        point = pair.plus_point if label.endswith("+") else pair.minus_point
+        point = pts[0] if label.endswith("+") else pts[-1]
         values.append((label, oracle._objective_scalar(zs, dsq, point.x,
                                                        point.y)))
     vmin = min(v for _, v in values)

@@ -12,14 +12,10 @@ from trilat.regions import objective_value
 
 
 def _s_points(cfg):
-    c = cfg.circles()
     out = {}
-    pair12 = circle_circle_intersect(c[0], c[1], cfg.Z[2])
-    pair23 = circle_circle_intersect(c[1], c[2], cfg.Z[0])
-    pair31 = circle_circle_intersect(c[2], c[0], cfg.Z[1])
-    out["S12+"], out["S12-"] = pair12.plus_point, pair12.minus_point
-    out["S23+"], out["S23-"] = pair23.plus_point, pair23.minus_point
-    out["S31+"], out["S31-"] = pair31.plus_point, pair31.minus_point
+    for name, i, j in (("S12", 0, 1), ("S23", 1, 2), ("S31", 2, 0)):
+        pts = circle_circle_intersect(cfg, i, j) or (None,)
+        out[name + "+"], out[name + "-"] = pts[0], pts[-1]
     return out
 
 

@@ -60,14 +60,14 @@ def _assert_scales_exactly(got, want, k):
                         rel_tol=1e-14)
 
 
-@given(_LAYOUTS, st.integers(-40, 40))
+@given(_LAYOUTS, st.integers(-480, 480))
 def test_solve_scales_exactly_by_powers_of_two(config, j):
     k = 2.0 ** j
     _assert_scales_exactly(_outcome(lambda: classifier.solve(_scaled(config, k))),
                            _outcome(lambda: classifier.solve(config)), k)
 
 
-@given(_CELLS, st.integers(-40, 40))
+@given(_CELLS, st.integers(-480, 480))
 def test_tables_scale_exactly_by_powers_of_two(cell, j):
     k = 2.0 ** j
     r, s, d1, d3 = cell
