@@ -56,22 +56,18 @@ class SolutionSet:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _pair_point(config: SensorConfig, role: Role) -> Optional[Point2]:
-    i, j, plus = _PAIR_BY_ROLE[role]
-    pts = circle_circle_intersect(config, i, j)
-    if not pts:
-        return None
-    return pts[0] if plus else pts[-1]
-
-
 def _materialize(config: SensorConfig, symbol: str) -> Optional[Candidate]:
     if symbol in _PAIR_BY_ROLE:
-        p = _pair_point(config, symbol)
+        i, j, plus = _PAIR_BY_ROLE[symbol]
+        pts = circle_circle_intersect(config, i, j)
+        if not pts:
+            return None
+        p = pts[0] if plus else pts[-1]
     elif symbol == "N3":
         p = n3_point(config)
     else:
         p = centroid_points(*config.Z)[{"Y0": 0, "Y3": 3}[symbol]]
-    return None if p is None else (p.x, p.y, symbol)
+    return p.x, p.y, symbol
 
 
 def _argmin_set(config: SensorConfig, candidates: Sequence[Candidate],
@@ -107,14 +103,9 @@ def _argmin_set(config: SensorConfig, candidates: Sequence[Candidate],
 # row of a sweep builds them once.
 
 Row = Tuple[float, bool, float, bool, Tuple[str, ...], str]
-Block = Tuple[float, bool, float, bool, Tuple[Row, ...], str]
+Block = Tuple[float, bool, float, bool, Tuple[Row, ...]]
 
 _INF = math.inf
-
-
-def _row(lo: float, lo_c: bool, hi: float, hi_c: bool,
-         symbols: Tuple[str, ...], rid: str) -> Row:
-    return (lo, lo_c, hi, hi_c, symbols, rid)
 
 
 def _isosceles_blocks(r: float, s: float, d1: float,
@@ -128,76 +119,74 @@ def _isosceles_blocks(r: float, s: float, d1: float,
     pair = ("S23plus", "S31plus")
     blocks: List[Block] = []
     blocks.append((0.0, True, r / 2.0, True, (
-        _row(0.0, False, low, True, ("Y0",), "1.1"),
-        _row(low, False, top, True, ("N3",), "1.2"),
-        _row(top, False, _INF, False, ("Y3",), "1.3"),
-    ), "1"))
+        (0.0, False, low, True, ("Y0",), "1.1"),
+        (low, False, top, True, ("N3",), "1.2"),
+        (top, False, _INF, False, ("Y3",), "1.3"),
+    )))
     blocks.append((r / 2.0, False, a, True, (
-        _row(0.0, False, low, True, ("Y0",), "2.1"),
-        _row(low, False, s - h, True, ("N3",), "2.2"),
-        _row(s - h, False, s + h, False, pair, "2.3"),
-        _row(s + h, True, top, True, ("N3",), "2.4"),
-        _row(top, False, _INF, False, ("Y3",), "2.5"),
-    ), "2"))
+        (0.0, False, low, True, ("Y0",), "2.1"),
+        (low, False, s - h, True, ("N3",), "2.2"),
+        (s - h, False, s + h, False, pair, "2.3"),
+        (s + h, True, top, True, ("N3",), "2.4"),
+        (top, False, _INF, False, ("Y3",), "2.5"),
+    )))
     big_r = row.R if d1 > r / 2.0 else 0.0
     blocks.append((a, False, b, True, (
-        _row(0.0, False, big_r, False, ("S12plus",), "3.1"),
-        _row(big_r, True, big_r, True, ("S12plus",) + pair, "3.2"),
-        _row(big_r, False, s + h, False, pair, "3.3"),
-        _row(s + h, True, top, True, ("N3",), "3.4"),
-        _row(top, False, _INF, False, ("Y3",), "3.5"),
-    ), "3"))
+        (0.0, False, big_r, False, ("S12plus",), "3.1"),
+        (big_r, True, big_r, True, ("S12plus",) + pair, "3.2"),
+        (big_r, False, s + h, False, pair, "3.3"),
+        (s + h, True, top, True, ("N3",), "3.4"),
+        (top, False, _INF, False, ("Y3",), "3.5"),
+    )))
 
-    p_cut = row.P_flat if regime == "flat" else row.P
-    if p_cut is None:
-        p_cut = _INF
+    p_cut = (row.P_flat if regime == "flat" else row.P) or _INF
 
     if d1 > b:
         big_m = row.M
         blocks.append((b, False, p_cut, False, (
-            _row(0.0, False, big_r, False, ("S12plus",), "4.1"),
-            _row(big_r, True, big_r, True, ("S12plus",) + pair, "4.2"),
-            _row(big_r, False, big_m, False, pair, "4.3"),
-            _row(big_m, True, big_m, True, pair + ("S12minus",), "4.4"),
-            _row(big_m, False, _INF, False, ("S12minus",), "4.5"),
-        ), "4"))
+            (0.0, False, big_r, False, ("S12plus",), "4.1"),
+            (big_r, True, big_r, True, ("S12plus",) + pair, "4.2"),
+            (big_r, False, big_m, False, pair, "4.3"),
+            (big_m, True, big_m, True, pair + ("S12minus",), "4.4"),
+            (big_m, False, _INF, False, ("S12minus",), "4.5"),
+        )))
         if math.isfinite(p_cut):
             d3p = math.sqrt(d1 * d1 - r * r / 4.0 + s * s)
             if regime == "flat":
                 blocks.append((p_cut, True, p_cut, True, (
-                    _row(0.0, False, d3p, False, ("S12plus",), "5.1"),
-                    _row(d3p, True, d3p, True,
-                         ("S12plus", "S12minus") + pair, "5.2"),
-                    _row(d3p, False, _INF, False, ("S12minus",), "5.3"),
-                ), "5"))
+                    (0.0, False, d3p, False, ("S12plus",), "5.1"),
+                    (d3p, True, d3p, True, ("S12plus", "S12minus") + pair,
+                     "5.2"),
+                    (d3p, False, _INF, False, ("S12minus",), "5.3"),
+                )))
                 blocks.append((p_cut, False, _INF, False, (
-                    _row(0.0, False, d3p, False, ("S12plus",), "6.1"),
-                    _row(d3p, True, d3p, True, ("S12plus", "S12minus"), "6.2"),
-                    _row(d3p, False, _INF, False, ("S12minus",), "6.3"),
-                ), "6"))
+                    (0.0, False, d3p, False, ("S12plus",), "6.1"),
+                    (d3p, True, d3p, True, ("S12plus", "S12minus"), "6.2"),
+                    (d3p, False, _INF, False, ("S12minus",), "6.3"),
+                )))
             else:
                 quad = ("S23plus", "S23minus", "S31plus", "S31minus")
                 d3m = row.d3m or 0.0
                 blocks.append((p_cut, True, p_cut, True, (
-                    _row(0.0, False, d3m, False, ("S12plus",), "5.1"),
-                    _row(d3m, True, d3m, True, ("S12plus",) + quad, "5.2"),
-                    _row(d3m, False, big_m, False, pair, "5.3"),
-                    _row(big_m, True, big_m, True, pair + ("S12minus",), "5.4"),
-                    _row(big_m, False, _INF, False, ("S12minus",), "5.5"),
-                ), "5"))
+                    (0.0, False, d3m, False, ("S12plus",), "5.1"),
+                    (d3m, True, d3m, True, ("S12plus",) + quad, "5.2"),
+                    (d3m, False, big_m, False, pair, "5.3"),
+                    (big_m, True, big_m, True, pair + ("S12minus",), "5.4"),
+                    (big_m, False, _INF, False, ("S12minus",), "5.5"),
+                )))
                 if d1 > p_cut:
-                    dstar = row.star.value if row.star is not None else d3m
+                    dstar = row.d3_star if row.d3_star is not None else d3m
                     blocks.append((p_cut, False, _INF, False, (
-                        _row(0.0, False, dstar, False, ("S12plus",), "6.1"),
-                        _row(dstar, True, dstar, True,
-                             ("S12plus", "S23minus", "S31minus"), "6.2"),
-                        _row(dstar, False, d3m, False,
-                             ("S23minus", "S31minus"), "6.3"),
-                        _row(d3m, True, d3m, True, quad, "6.4"),
-                        _row(d3m, False, big_m, False, pair, "6.5"),
-                        _row(big_m, True, big_m, True, pair + ("S12minus",), "6.6"),
-                        _row(big_m, False, _INF, False, ("S12minus",), "6.7"),
-                    ), "6"))
+                        (0.0, False, dstar, False, ("S12plus",), "6.1"),
+                        (dstar, True, dstar, True,
+                         ("S12plus", "S23minus", "S31minus"), "6.2"),
+                        (dstar, False, d3m, False, ("S23minus", "S31minus"),
+                         "6.3"),
+                        (d3m, True, d3m, True, quad, "6.4"),
+                        (d3m, False, big_m, False, pair, "6.5"),
+                        (big_m, True, big_m, True, pair + ("S12minus",), "6.6"),
+                        (big_m, False, _INF, False, ("S12minus",), "6.7"),
+                    )))
     return tuple(blocks)
 
 
@@ -214,7 +203,7 @@ def _matched_rows(r: float, s: float, d1: float, d3: float,
     eps = tol * (r + s + d1 + abs(d3))
     symbols: List[str] = []
     row_ids: List[str] = []
-    for lo, lo_c, hi, hi_c, rows, _bid in blocks:
+    for lo, lo_c, hi, hi_c, rows in blocks:
         if not ((d1 >= lo - eps if (lo_c or lo == 0.0) else d1 > lo + eps)
                 and (d1 <= hi + eps if hi_c else d1 < hi - eps)):
             continue
@@ -248,23 +237,19 @@ def _solve_from_blocks(r: float, s: float, d1: float, d3: float,
                        _near_threshold(r, s, d1, d3))
 
 
+# (name, input, bundle field) of each reported threshold, in report order.
+_NEAR_THRESHOLDS = (("d3_zero", "d3", "d3_0"), ("d1_zero", "d1", "d1_0"),
+                    ("R", "d3", "R"), ("M", "d3", "M"), ("P", "d1", "P"),
+                    ("d3_star", "d3", "d3_star"))
+
+
 def _near_threshold(r: float, s: float, d1: float,
                     d3: float) -> Tuple[Tuple[str, float], ...]:
     bundle = compute_bundle(r, s, d1, d3)
-    out: List[Tuple[str, float]] = []
-    if bundle.d3_0 is not None:
-        out.append(("d3_zero", d3 - bundle.d3_0))
-    if bundle.d1_0 is not None:
-        out.append(("d1_zero", d1 - bundle.d1_0))
-    if bundle.R is not None:
-        out.append(("R", d3 - bundle.R))
-    if bundle.M is not None:
-        out.append(("M", d3 - bundle.M))
-    if bundle.P is not None:
-        out.append(("P", d1 - bundle.P))
-    if bundle.d3_star is not None:
-        out.append(("d3_star", d3 - bundle.d3_star))
-    return tuple(out)
+    given = {"d1": d1, "d3": d3}
+    values = [(name, given[of], getattr(bundle, field))
+              for name, of, field in _NEAR_THRESHOLDS]
+    return tuple((name, x - v) for name, x, v in values if v is not None)
 
 
 def _tables(r: float, s: float, d1: float, d3_lo: float, d3_hi: float,
@@ -309,22 +294,22 @@ def table_multiplicities(r: float, s: float, d1: float, d3s: Sequence[float],
     same point, so the count of distinct symbols is the multiplicity.
 
     The tables depend on d1 alone, so the row checks its least and greatest
-    d3 and builds the tables once.  Where that check fails, the cells run in
-    turn, each checked and scanned, so the first failing cell raises its own
-    error.  A NaN d3 passes the checks (max(d1, nan) is d1) and fails in the
-    scan, in the row as on its own.
+    d3 and builds the tables once.  Where that check fails, each cell is
+    checked on its own, so the first failing cell raises its own error.  A
+    NaN d3 passes the checks (max(d1, nan) is d1) and fails in the scan, in
+    the row as on its own.
     """
     try:
-        s_row, blocks, family = _tables(r, s, d1, min(d3s), max(d3s), tol)
+        shared = _tables(r, s, d1, min(d3s), max(d3s), tol)
     except PreconditionViolation:
-        cells = []
-        for d3 in d3s:
-            s_cell, blocks, family = _tables(r, s, d1, d3, d3, tol)
-            cells.append(_matched_rows(r, s_cell, d1, d3, blocks, family, tol))
-    else:
-        cells = [_matched_rows(r, s_row, d1, d3, blocks, family, tol)
-                 for d3 in d3s]
-    return [(len(symbols), derivation) for symbols, derivation in cells]
+        shared = None
+    out: List[Tuple[int, str]] = []
+    for d3 in d3s:
+        s_cell, blocks, family = shared or _tables(r, s, d1, d3, d3, tol)
+        symbols, derivation = _matched_rows(r, s_cell, d1, d3, blocks,
+                                            family, tol)
+        out.append((len(symbols), derivation))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +350,10 @@ def multiplicity_conditions(r: float, s: float, d1: float, d3: float,
     if big_m is not None and d1 > b + eps and near(d3, big_m) \
             and not (flat and pf is not None and d1 > pf):
         return 3, "d3 at M: base '-' joins the leg '+' pair"
-    dstar: Optional[float] = None
-    if sharp and p is not None and d1 > p + eps and row.star is not None:
-        dstar = row.star.value
+    dstar = row.d3_star if sharp and p is not None and d1 > p + eps else None
     if dstar is not None and near(d3, dstar):
         return 3, "d3 at the auxiliary root: base '+' joins the leg '-' pair"
-    three_plus_hi = p if sharp else (pf if flat else _INF)
-    if three_plus_hi is None:
-        three_plus_hi = _INF
+    three_plus_hi = (p if sharp else pf if flat else None) or _INF
     if equilateral and d1 > a + eps and near(d3, d1):
         return 3, "equal-sided layout, d3 at d1: all three '+' points tie"
     if (not equilateral) and big_r is not None and d1 > a + eps \
@@ -385,10 +366,7 @@ def multiplicity_conditions(r: float, s: float, d1: float, d3: float,
             and dstar + eps < d3 < d3m - eps:
         return 2, "between the auxiliary root and the four-equal locus"
     if h is not None and d1 > r / 2.0 + eps:
-        if d1 < a:
-            lo: Optional[float] = s - h
-        else:
-            lo = big_r
+        lo: Optional[float] = s - h if d1 < a else big_r
         if sharp and d3m is not None and lo is not None:
             lo = max(lo, d3m)
         hi = s + h if d1 <= b else big_m

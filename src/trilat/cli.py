@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -119,7 +120,10 @@ def _as_point(raw: Any, what: str) -> Point2:
 def _as_number(raw: Any, what: str) -> float:
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise _SchemaError(f"{what} must be a number")
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise _SchemaError(f"{what} must be finite")
     return value
@@ -204,11 +208,11 @@ def _load_instance(path: str, seed_override: Optional[int]) -> SensorConfig:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _SchemaError(f"cannot read instance: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long
         raise _SchemaError(f"instance is not valid JSON: {exc}") from exc
     return parse_instance(obj, seed_override)
 
@@ -276,9 +280,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         from . import oracle
         spec = oracle.default_grid(config, resolution=256)
         result = oracle.brute_force_minimize(config, spec)
-        errs = []
-        for cand in solution.points:
-            errs.append(min(distance(cand.location, p) for p, _ in result.minima))
+        errs = [min(distance(cand.location, p) for p, _ in result.minima)
+                for cand in solution.points]
         length = config_scale(config)
         payload["oracle_agreement"] = {
             "clusters": len(result.minima),
@@ -298,43 +301,31 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_line(config: SensorConfig) -> Tuple[List[float], List[str]]:
-    # Fixture inputs are printed to four decimals, so exact ties split at
-    # roughly 1e-4; flag at display level rather than machine level.
-    entries = objective_table(config, tie_tol=1e-3)
-    by_label = {label: (value, flag) for label, value, flag in entries}
-    values = [by_label[c][0] for c in _TABLE_COLUMNS]
-    minima = [c for c in _TABLE_COLUMNS if by_label[c][1]]
-    return values, minima
-
-
 def cmd_table(args: argparse.Namespace) -> int:
-    rows: List[List[str]] = []
     if args.family == "equilateral":
-        header = ["row", "d1", "d3", *_TABLE_COLUMNS, "minima"]
-        s = math.sqrt(3.0)
-        for rid, d1, d3 in _EQUILATERAL_ROWS:
-            config = SensorConfig.from_canonical(2.0, s, (d1, d1, d3))
-            values, minima = _table_line(config)
-            rows.append([rid, f"{d1:.4f}", f"{d3:.4f}",
-                         *[f"{v:.4f}" for v in values], ";".join(minima)])
+        cells = [(rid, math.sqrt(3.0), d1, d3)
+                 for rid, d1, d3 in _EQUILATERAL_ROWS]
     elif args.family == "isosceles":
-        header = ["row", "s", "d1", "d3", *_TABLE_COLUMNS, "minima"]
-        for rid, s, d1, d3 in _ISOSCELES_ROWS:
-            if rid in ("3g", "3h", "3i"):
-                d1 = refined_tail_base()
-            config = SensorConfig.from_canonical(2.0, s, (d1, d1, d3))
-            values, minima = _table_line(config)
-            rows.append([rid, f"{s:.4f}", f"{d1:.4f}", f"{d3:.4f}",
-                         *[f"{v:.4f}" for v in values], ";".join(minima)])
+        tail = refined_tail_base()
+        cells = [(rid, s, tail if rid in ("3g", "3h", "3i") else d1, d3)
+                 for rid, s, d1, d3 in _ISOSCELES_ROWS]
     else:
-        header = ["row", "s", "d1", "d3", *_TABLE_COLUMNS, "minima"]
-        for rid, sextet in _FOUR_EQUAL_ROWS:
-            s, d1, d3 = reconstruct_four_equal(sextet[0], sextet[3])
-            config = SensorConfig.from_canonical(2.0, s, (d1, d1, d3))
-            values, minima = _table_line(config)
-            rows.append([rid, f"{s:.4f}", f"{d1:.4f}", f"{d3:.4f}",
-                         *[f"{v:.4f}" for v in values], ";".join(minima)])
+        cells = [(rid, *reconstruct_four_equal(sextet[0], sextet[3]))
+                 for rid, sextet in _FOUR_EQUAL_ROWS]
+    # The equilateral apex height is fixed, so its table omits s.
+    shows_s = args.family != "equilateral"
+    header = ["row", *(["s"] if shows_s else []), "d1", "d3",
+              *_TABLE_COLUMNS, "minima"]
+    rows: List[List[str]] = []
+    for rid, s, d1, d3 in cells:
+        config = SensorConfig.from_canonical(2.0, s, (d1, d1, d3))
+        # Fixture inputs are printed to four decimals, so exact ties split
+        # at roughly 1e-4; flag at display level rather than machine level.
+        entries = objective_table(config, tie_tol=1e-3)
+        inputs = (s, d1, d3) if shows_s else (d1, d3)
+        rows.append([rid, *[f"{v:.4f}" for v in inputs],
+                     *[f"{v:.4f}" for _, v, _ in entries],
+                     ";".join(label for label, _, flag in entries if flag)])
     if args.json:
         payload = {"schema": SCHEMA, "family": args.family,
                    "columns": header,
@@ -403,14 +394,15 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
                                         config_scale(config), tol):
         raise PreconditionViolation("thresholds need equal base ranges")
     d1 = (config.d[0] + config.d[1]) / 2.0
-    bundle = thresholds.compute_bundle(frame.r, frame.s, d1, config.d[2])
+    bundle = dataclasses.asdict(thresholds.compute_bundle(
+        frame.r, frame.s, d1, config.d[2]))
     payload = {
         "schema": SCHEMA,
         "r": frame.r, "s": frame.s, "d1": d1, "d3": config.d[2],
-        "d3_0": bundle.d3_0, "d1_0": bundle.d1_0,
-        "R": bundle.R, "M": bundle.M, "P": bundle.P, "Q": bundle.Q,
-        "d3_star": bundle.d3_star, "t_star": bundle.t_star,
-        "validity": bundle.validity(),
+        **bundle,
+        # t_star is valid exactly where d3_star is.
+        "validity": {name: value is not None
+                     for name, value in bundle.items() if name != "t_star"},
     }
     _emit_json(payload)
     return 0

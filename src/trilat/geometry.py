@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import (ConcentricIdentical, DegenerateDirection,
-                     DegenerateTriangle, NoiseRejection)
+                     DegenerateTriangle, NoiseRejection, PreconditionViolation)
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -76,14 +76,16 @@ def generate_instance(source: Point2, sensors: Sequence[Point2],
                       noise: NoiseSpec, seed: int) -> SensorConfig:
     """Ranges measured from a source point, with optional perturbation.
 
-    Deterministic for a given seed.  A perturbed range must stay
-    nonnegative and finite; after 100 rejected draws the instance is
-    abandoned.
+    Deterministic for a given seed.  Each exact range must be finite.  A
+    perturbed range must stay nonnegative and finite; after 100 rejected
+    draws the instance is abandoned.
     """
+    bases = [distance(source, z) for z in sensors]
+    if not all(map(math.isfinite, bases)):
+        raise PreconditionViolation("a source-to-sensor distance is not finite")
     rng = random.Random(seed)
     ranges: List[float] = []
-    for z in sensors:
-        base = distance(source, z)
+    for base in bases:
         if noise.kind == "none" or noise.scale == 0.0:
             ranges.append(base)
             continue

@@ -25,7 +25,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
 from .errors import NoBracket, PreconditionViolation
 from .geometry import SQRT3_2
@@ -75,11 +75,12 @@ def threshold_P(r: float, s: float) -> Optional[float]:
     P^2 = r^2/4 + s^2 ((4s^2 + 5r^2) / (4s^2 - 3r^2))^2.  The printed form in
     (base length, leg length) is algebraically equal but loses digits to
     cancellation near the equilateral height, so only this one is evaluated;
-    the test suite checks that the two agree away from that height.
+    the test suite checks that the two agree away from that height.  Just
+    above it, 4s^2 - 3r^2 may round to 0 or below; P is absent there too.
     """
-    if s <= SQRT3_2 * r:
-        return None
     den = 4.0 * s * s - 3.0 * r * r
+    if s <= SQRT3_2 * r or den <= 0.0:
+        return None
     return math.sqrt(r * r / 4.0
                      + s * s * ((4.0 * s * s + 5.0 * r * r) / den) ** 2)
 
@@ -116,14 +117,9 @@ def g_aux(r: float, s: float, u: float, t: float) -> float:
     return (2.0 * s / leg_sq) * (lin + r * math.sqrt(max(rad, 0.0)))
 
 
-@dataclass(frozen=True)
-class D3StarResult:
-    value: float
-    t_star: float
-
-
-def d3_star_root(r: float, s: float, d1: float) -> D3StarResult:
-    """Root t* of the auxiliary on (0, 1] and the apex range d3* it gives.
+def d3_star_root(r: float, s: float, d1: float) -> Tuple[float, float]:
+    """The apex range d3* and the root t* of the auxiliary on (0, 1] that
+    gives it.
 
     Exists only in the tall-apex regime with d1 beyond P; at d1 = P the root
     reaches t = 1 where g(1) = 0, and NoBracket is raised.  The closed form is
@@ -149,11 +145,11 @@ def d3_star_root(r: float, s: float, d1: float) -> D3StarResult:
     lin = -ups * (c * t_star + 0.5)
     if not (0.0 < t_star <= 1.0 and lin <= 0.0):
         raise NoBracket("auxiliary root outside (0, 1]; d1 is at P within noise")
-    return D3StarResult(r * math.sqrt(ups * (ups + 2.0 * t_star * rho)), t_star)
+    return r * math.sqrt(ups * (ups + 2.0 * t_star * rho)), t_star
 
 
 def d3_star(r: float, s: float, d1: float) -> float:
-    return d3_star_root(r, s, d1).value
+    return d3_star_root(r, s, d1)[0]
 
 
 @dataclass(frozen=True)
@@ -170,7 +166,8 @@ class RowThresholds:
     R: Optional[float]
     M: Optional[float]
     d3m: Optional[float]
-    star: Optional[D3StarResult]
+    d3_star: Optional[float]
+    t_star: Optional[float]
 
 
 def _unit(total: float) -> float:
@@ -185,7 +182,7 @@ def _unit(total: float) -> float:
 # report), and a sweep visits the cells of one d1 row in a row.
 @functools.lru_cache(maxsize=1)
 def row_thresholds(r: float, s: float, d1: float) -> RowThresholds:
-    """P, R, M, the four-equal radius d3m and d3* for one (r, s, d1).
+    """P, R, M, the four-equal radius d3m, d3* and its t* for one (r, s, d1).
 
     They are evaluated in units of ``_unit(r + s + d1)``.  The formulas divide
     by sums of r^2 and s^2, so the base length in those units must have a
@@ -195,10 +192,11 @@ def row_thresholds(r: float, s: float, d1: float) -> RowThresholds:
     r, s, d1 = r / unit, s / unit, d1 / unit
     _require_usable_scale(r, "base length relative to r + s + d1")
     p = threshold_P(r, s)
-    star: Optional[D3StarResult] = None
+    star: Optional[float] = None
+    t_star: Optional[float] = None
     if p is not None and d1 > p:
         try:
-            star = d3_star_root(r, s, d1)
+            star, t_star = d3_star_root(r, s, d1)
         except (NoBracket, PreconditionViolation):
             pass
     try:
@@ -215,8 +213,8 @@ def row_thresholds(r: float, s: float, d1: float) -> RowThresholds:
         R=threshold_R(r, s, d1) * unit if d1 * d1 >= r * r / 4.0 else None,
         M=big_m * unit if big_m is not None else None,
         d3m=math.sqrt(d3m_sq) * unit if d3m_sq >= 0.0 else None,
-        star=(D3StarResult(star.value * unit, star.t_star)
-              if star is not None else None),
+        d3_star=star * unit if star is not None else None,
+        t_star=t_star,
     )
 
 
@@ -233,17 +231,6 @@ class ThresholdBundle:
     d3_star: Optional[float]
     t_star: Optional[float]
 
-    def validity(self) -> Dict[str, bool]:
-        return {
-            "d3_0": self.d3_0 is not None,
-            "d1_0": self.d1_0 is not None,
-            "R": self.R is not None,
-            "M": self.M is not None,
-            "P": self.P is not None,
-            "Q": self.Q is not None,
-            "d3_star": self.d3_star is not None,
-        }
-
 
 def compute_bundle(r: float, s: float, d1: float,
                    d3: Optional[float] = None) -> ThresholdBundle:
@@ -253,7 +240,7 @@ def compute_bundle(r: float, s: float, d1: float,
     """
     row = row_thresholds(r, s, d1)
     p = row.P
-    star = row.star if p is not None and d1 > p + 1e-12 * p else None
+    past_p = p is not None and d1 > p + 1e-12 * p
     unit = _unit(r + s + d1 + (d3 or 0.0))
     r, s, d1 = r / unit, s / unit, d1 / unit
     leg_sq = s * s + r * r / 4.0
@@ -277,6 +264,6 @@ def compute_bundle(r: float, s: float, d1: float,
         M=row.M if d1 >= b else None,
         P=p,
         Q=q * unit if q is not None else None,
-        d3_star=star.value if star is not None else None,
-        t_star=star.t_star if star is not None else None,
+        d3_star=row.d3_star if past_p else None,
+        t_star=row.t_star if past_p else None,
     )

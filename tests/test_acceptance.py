@@ -157,10 +157,10 @@ def test_criterion_4():
 # --- criterion 5: tail tie radius fixture -----------------------------------
 
 def test_criterion_5():
-    res = th.d3_star_root(2.0, 3.0, 10.3158)
-    assert abs(res.value - 9.2008) <= 1e-3
-    assert abs(res.t_star - 0.7302) <= 1e-3
-    cfg = SensorConfig.from_canonical(2.0, 3.0, (10.3158, 10.3158, res.value))
+    d3s, t_star = th.d3_star_root(2.0, 3.0, 10.3158)
+    assert abs(d3s - 9.2008) <= 1e-3
+    assert abs(t_star - 0.7302) <= 1e-3
+    cfg = SensorConfig.from_canonical(2.0, 3.0, (10.3158, 10.3158, d3s))
     sp = _s_points(cfg)
     vals = [objective_value(cfg, sp[k]) for k in ("S12+", "S23-", "S31-")]
     for v in vals[1:]:

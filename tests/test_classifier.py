@@ -178,7 +178,7 @@ def _locus_cells(r, s, d1s):
         h = row.h
         loci = [2.0 * s / 3.0, 2.0 * s, d1, math.sqrt(d1 * d1 + 2.0 * r * r),
                 s - h, s + h, math.sqrt(h * h + s * s), row.R, row.M, row.d3m,
-                row.star.value if row.star is not None else None]
+                row.d3_star]
         for d3 in loci:
             if d3 is not None and d3 >= 0.0:
                 yield d1, d3
@@ -345,7 +345,7 @@ def test_solve_from_blocks_without_a_candidate_raises():
                                       "isosceles-sharp", 1e-9)
     # the row matches, but base circles of radius 0.5 < r/2 do not meet
     everywhere = (0.0, True, math.inf, False)
-    blocks = ((*everywhere, ((*everywhere, ("S12plus",), "x.1"),), "x"),)
+    blocks = ((*everywhere, ((*everywhere, ("S12plus",), "x.1"),)),)
     with pytest.raises(MissingIntersection):
         classifier._solve_from_blocks(2.0, 3.0, 0.5, 4.0, blocks,
                                       "isosceles-sharp", 1e-9)

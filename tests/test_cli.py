@@ -135,8 +135,14 @@ def test_schema_violations_exit_3(tmp_path, capsys):
         assert json.loads(err)["error"]["code"] == "schema"
 
 
-# Inputs that once ended in a traceback: non-finite coordinates, a noisy
-# range that overflows, and a radial direction of subnormal length.
+_HUGE_INT = "1" + "0" * 400  # a JSON integer beyond the float range
+_FAR_SOURCE = ('{"sensors": [[1e308, 0], [-1e308, 0], [0, 1]],'
+               ' "generator": {"source": [-1e308, 0]%s}}')
+
+
+# Inputs that once ended in a traceback: non-finite coordinates, integers
+# beyond the float range, a source-to-sensor distance that overflows, a
+# noisy range that overflows, and a radial direction of subnormal length.
 @pytest.mark.parametrize("argv,text,code", [
     (["solve"], '{"sensors": [[1e999, 0], [1, 0], [0, 1]], "d": [1, 1, 1]}',
      "schema"),
@@ -144,6 +150,16 @@ def test_schema_violations_exit_3(tmp_path, capsys):
      "schema"),
     (["solve"], '{"sensors": [[0, 0], [1, 0], [0, 1]],'
                 ' "generator": {"source": [1e999, 0]}}', "schema"),
+    (["solve"], '{"r": %s, "s": 1, "d": [1, 1, 1]}' % _HUGE_INT, "schema"),
+    (["solve"], '{"sensors": [[0, 0], [1, 0], [0, 1]],'
+                ' "generator": {"source": [0.2, 0.3],'
+                ' "noise": {"kind": "uniform", "scale": %s}}}' % _HUGE_INT,
+     "schema"),
+    (["solve"], '{"r": 1, "s": 1, "d": [1, 1, %s]}' % ("1" * 5000),
+     "schema"),
+    (["solve"], _FAR_SOURCE % "", "PreconditionViolation"),
+    (["solve"], _FAR_SOURCE % ', "noise": {"kind": "normal", "scale": 0.1}',
+     "PreconditionViolation"),
     (["solve"], '{"sensors": [[0, 0], [1, 0], [0, 1]],'
                 ' "generator": {"source": [0.2, 0.3],'
                 ' "noise": {"kind": "uniform", "scale": 1e308}}}',
@@ -151,8 +167,10 @@ def test_schema_violations_exit_3(tmp_path, capsys):
     (["solve", "--tol", "0"],
      '{"sensors": [[0, 0], [1, 0], [1e-310, 1e-310]], "d": [1, 2, 3]}',
      "DegenerateDirection"),
-], ids=["inf-sensor", "nan-sensor", "inf-source", "overflowing-noise",
-        "subnormal-direction"])
+], ids=["inf-sensor", "nan-sensor", "inf-source", "huge-int-r",
+        "huge-int-noise-scale", "int-past-the-digit-limit",
+        "overflowing-distance", "overflowing-distance-noisy",
+        "overflowing-noise", "subnormal-direction"])
 def test_non_finite_values_exit_with_one_json_error(tmp_path, capsys, argv,
                                                      text, code):
     path = tmp_path / "inst.json"
@@ -171,6 +189,10 @@ def test_unreadable_and_malformed_files(tmp_path, capsys):
     bad.write_text("{not json")
     rc, _, err = run(capsys, ["solve", str(bad)])
     assert rc == 3 and "JSON" in json.loads(err)["error"]["message"]
+    # once a UnicodeDecodeError traceback (exit 1)
+    bad.write_bytes(b"\xff\xfe{")
+    rc, _, err = run(capsys, ["solve", str(bad)])
+    assert rc == 3 and "cannot read" in json.loads(err)["error"]["message"]
 
 
 def test_sensors_far_closer_than_the_ranges_solve(tmp_path, capsys):
@@ -350,6 +372,20 @@ def test_thresholds_payload(tmp_path, capsys):
     assert abs(payload["P"] - math.sqrt(50)) < 1e-9
     assert abs(payload["d1_0"] - math.sqrt(50)) < 1e-6
     assert payload["d3_star"] is None  # exactly at P: no bracket
+    assert payload["validity"]["R"] is True
+
+
+def test_thresholds_where_the_height_rounds_to_equilateral(tmp_path, capsys):
+    # a moved equilateral layout whose frame has 4 s^2 - 3 r^2 == 0.0:
+    # once a ZeroDivisionError in threshold P
+    obj = {"sensors": [[-0.9580277066339126, -4.1504088404216715],
+                       [-1.851799420497719, -3.6774032122999936],
+                       [-1.814548453652204, -4.687935035750845]],
+           "d": [11.208546222688033, 11.208546222688033, 6.335178943064811]}
+    rc, out, _ = run(capsys, ["thresholds", write_instance(tmp_path, obj)])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["P"] is None and payload["Q"] is None
     assert payload["validity"]["R"] is True
 
 

@@ -155,6 +155,15 @@ def test_P_defined_just_above_the_equilateral_height():
         assert p is not None and math.isfinite(p) and p > r
 
 
+def test_P_absent_where_the_height_rounds_to_equilateral():
+    # s is above sqrt(3)/2 r, yet 4 s^2 - 3 r^2 rounds to 0: once a
+    # ZeroDivisionError, reached by `trilat thresholds` on a moved layout
+    r, s = 1.011218176625514, 0.8757406297262745
+    assert s > th.SQRT3_2 * r and 4.0 * s * s - 3.0 * r * r == 0.0
+    assert th.threshold_P(r, s) is None
+    assert th.threshold_Q(r, s) is None
+
+
 def test_Q_value():
     # 8 r^2 s / (4 s^2 - 3 r^2) on the sharp side
     q = th.threshold_Q(2.0, 3.0)
@@ -164,21 +173,20 @@ def test_Q_value():
 # --- auxiliary tie radius d3* -----------------------------------------------
 
 def test_d3_star_fixture():
-    res = th.d3_star_root(2.0, 3.0, 10.3158)
-    assert abs(res.value - 9.2008) < 1e-3
-    assert abs(res.t_star - 0.7302) < 1e-3
+    d3s, t_star = th.d3_star_root(2.0, 3.0, 10.3158)
+    assert abs(d3s - 9.2008) < 1e-3
+    assert abs(t_star - 0.7302) < 1e-3
 
 
 def test_d3_star_structural_identity():
     # d3*^2 = u^2 + 2 t* s u with u = h - s
-    res = th.d3_star_root(2.0, 3.0, 10.3158)
+    d3s, t_star = th.d3_star_root(2.0, 3.0, 10.3158)
     u = math.sqrt(10.3158 ** 2 - 1.0) - 3.0
-    assert abs(res.value ** 2 - (u * u + 2 * res.t_star * 3.0 * u)) < 1e-6
+    assert abs(d3s ** 2 - (u * u + 2 * t_star * 3.0 * u)) < 1e-6
 
 
 def test_d3_star_three_way_tie():
-    res = th.d3_star_root(2.0, 3.0, 10.3158)
-    cfg = canonical(2.0, 3.0, 10.3158, res.value)
+    cfg = canonical(2.0, 3.0, 10.3158, th.d3_star(2.0, 3.0, 10.3158))
     sp = _s_points(cfg)
     v1 = objective_value(cfg, sp["S12+"])
     v2 = objective_value(cfg, sp["S23-"])
@@ -268,9 +276,9 @@ def test_d3_star_closed_form_matches_bisection():
             value, t_star = _bisected_root(r, s, d1)
         except NoBracket:
             continue
-        res = th.d3_star_root(r, s, d1)
-        assert abs(res.value - value) <= 1e-12 * value, (r, s, d1)
-        assert abs(res.t_star - t_star) <= 1e-12, (r, s, d1)
+        got_value, got_t_star = th.d3_star_root(r, s, d1)
+        assert abs(got_value - value) <= 1e-12 * value, (r, s, d1)
+        assert abs(got_t_star - t_star) <= 1e-12, (r, s, d1)
         checked += 1
     assert checked >= 9_900
 
@@ -278,10 +286,10 @@ def test_d3_star_closed_form_matches_bisection():
 @pytest.mark.parametrize("k", [1e-100, 1e100])
 def test_d3_star_scales_with_the_instance(k):
     for r, s, d1 in _tall_apex_draws(7, 500):
-        base = th.d3_star_root(r, s, d1)
-        scaled = th.d3_star_root(k * r, k * s, k * d1)
-        assert rel(scaled.value / k, base.value) <= 1e-12, (r, s, d1)
-        assert rel(scaled.t_star, base.t_star) <= 1e-12, (r, s, d1)
+        base, base_t = th.d3_star_root(r, s, d1)
+        scaled, scaled_t = th.d3_star_root(k * r, k * s, k * d1)
+        assert rel(scaled / k, base) <= 1e-12, (r, s, d1)
+        assert rel(scaled_t, base_t) <= 1e-12, (r, s, d1)
 
 
 def test_row_thresholds_match_the_direct_formulas():
@@ -291,12 +299,13 @@ def test_row_thresholds_match_the_direct_formulas():
         assert row.P == th.threshold_P(r, s)
         assert row.R == th.threshold_R(r, s, d1)
         assert row.M == th.threshold_M(r, s, d1)
-        assert row.star == th.d3_star_root(r, s, d1)
+        assert (row.d3_star, row.t_star) == th.d3_star_root(r, s, d1)
         assert row.d3m == math.sqrt(d1 * d1 - r * r / 4 - s * s)
     # below the base-apex distance M and d3m do not apply; below r/2 nor does R
     row = th.row_thresholds(2.0, 3.0, 0.8)
     assert row.R is None and row.M is None and row.d3m is None
-    assert row.star is None and row.P == th.threshold_P(2.0, 3.0)
+    assert row.d3_star is None and row.t_star is None
+    assert row.P == th.threshold_P(2.0, 3.0)
 
 
 def test_g_aux_concavity():
@@ -374,8 +383,7 @@ def test_bundle_five_way_instance():
     assert abs(b.d1_0 - math.sqrt(50)) < 1e-6
     assert abs(b.P - math.sqrt(50)) < 1e-9
     assert b.d3_star is None  # no bracket exactly at P
-    validity = b.validity()
-    assert validity["R"] and validity["M"]
+    assert b.R is not None and b.M is not None
 
 
 def test_bundle_gating():

@@ -1,4 +1,5 @@
-"""Every tie and band is relative to the instance's length scale.
+"""Every tie and band is relative to the instance's length scale, and the
+answer does not depend on how the layout is labeled or placed.
 
 Scaling a layout and its ranges by a power of two is exact in floating
 point, so the answer must scale with it: the same multiplicity, roles and
@@ -8,6 +9,7 @@ the last bits, so they agree to 1e-14 relative.  Scaling by any other
 factor rounds the inputs, so there only the multiplicity and the
 derivation must stay.
 """
+import itertools
 import math
 import re
 from pathlib import Path
@@ -99,6 +101,44 @@ def test_table_multiplicity_does_not_depend_on_units(cell, k):
     assert _summary(lambda: classifier.solve_isosceles(
         r * k, s * k, d1 * k, d3 * k)) == _summary(
             lambda: classifier.solve_isosceles(r, s, d1, d3))
+
+
+def _multiplicity(config):
+    """The multiplicity of ``solve``, or the class of its refusal."""
+    out = _outcome(lambda: classifier.solve(config))
+    return out if isinstance(out, type) else out.multiplicity
+
+
+def _moved(config, motion):
+    """``config`` with each sensor moved by ``motion``, ranges kept."""
+    return SensorConfig(tuple(Point2(*motion(z.x, z.y)) for z in config.Z),
+                        config.d)
+
+
+# The answer belongs to the layout, not to how its sensors are numbered or
+# placed: relabeling, reflecting or moving it keeps the multiplicity.
+
+@given(_LAYOUTS)
+def test_solve_multiplicity_does_not_depend_on_sensor_labels(config):
+    want = _multiplicity(config)
+    for perm in itertools.permutations(range(3)):
+        relabeled = SensorConfig(tuple(config.Z[i] for i in perm),
+                                 tuple(config.d[i] for i in perm))
+        assert _multiplicity(relabeled) == want, perm
+
+
+@given(_LAYOUTS)
+def test_solve_multiplicity_survives_a_reflection(config):
+    assert _multiplicity(_moved(config, lambda x, y: (-x, y))) == \
+        _multiplicity(config)
+
+
+@given(_LAYOUTS, st.floats(0.0, 2.0 * math.pi), _COORD, _COORD)
+def test_solve_multiplicity_survives_a_rigid_motion(config, angle, tx, ty):
+    c, s = math.cos(angle), math.sin(angle)
+    moved = _moved(config, lambda x, y: (c * x - s * y + tx,
+                                         s * x + c * y + ty))
+    assert _multiplicity(moved) == _multiplicity(config)
 
 
 # General layouts, drawn as criterion 6 draws them, whose multiplicity once
