@@ -37,8 +37,13 @@ class GridSpec:
             raise ValueError("resolution too small")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be nonnegative")
-        if self.refine_factor <= 1.0:
-            raise ValueError("refine_factor must exceed 1")
+        if not 1.0 < self.refine_factor < math.inf:
+            raise ValueError("refine_factor must be finite and exceed 1")
+        # A round's values are one block of (m^2 + 1) * _SURVIVOR_CAP
+        # 8-byte floats, whose byte count numpy indexes with an intp.
+        m = round(self.refine_factor)
+        if (m * m + 1) * _SURVIVOR_CAP * 8 > np.iinfo(np.intp).max:
+            raise ValueError("refine_factor too large to index a round")
 
 
 @dataclass(frozen=True)
@@ -74,21 +79,26 @@ def _sensor_arrays(config: SensorConfig) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(zs: np.ndarray, dsq: np.ndarray, px: np.ndarray,
-              py: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+              py: np.ndarray, out: Optional[np.ndarray] = None,
+              term: Optional[np.ndarray] = None) -> np.ndarray:
     """The objective at each point of ``px`` broadcast against ``py``.
 
     Each sensor's squared offsets are taken on the axes before they
     broadcast, so a grid passes ``gx[:, None], gy[None, :]`` and squares
     2n offsets, not n^2.  Every value is the same float as on the
     broadcast points: (x - zx)^2 + (y - zy)^2 - dj^2, its absolute value,
-    summed over the sensors in order.  The sum goes into ``out`` if given:
-    refine rounds pass the children's block of their value array, so they
-    allocate no array of that size, whose fresh pages would cost about
-    half as much CPU as the arithmetic.
+    summed over the sensors in order.  The sum goes into ``out`` and each
+    later sensor's term into ``term``, where given, both of the broadcast
+    shape.  ``brute_force_minimize`` allocates one value and one term
+    buffer per call, sized for the larger of the grid and a full round,
+    and passes slices of them for the grid and for every round's
+    children.  Fresh arrays of that size for each would cost about half
+    as much CPU as the arithmetic, in page faults.
     """
     shape = np.broadcast_shapes(np.shape(px), np.shape(py))
     acc = np.empty(shape) if out is None else out
-    term = np.empty(shape)
+    if term is None:
+        term = np.empty(shape)
     for j, ((zx, zy), dj2) in enumerate(zip(zs, dsq)):
         part = acc if j == 0 else term
         np.add(np.square(px - zx), np.square(py - zy), out=part)
@@ -176,9 +186,36 @@ def _prune(px: np.ndarray, py: np.ndarray, vals: np.ndarray, vmin: float,
     return px[sel], py[sel], vals[sel], dropped
 
 
-# Forward neighbours of a cell: itself and four of its eight neighbours, so
-# each pair of neighbouring cells is visited once.
-_FORWARD_CELLS = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
+# Forward neighbours of a cell: the 12 cells at most two columns and rows
+# away that come after it in key order, so each pair of such cells is
+# visited once.
+_FORWARD_CELLS = tuple((ox, oy) for ox in range(3) for oy in range(-2, 3)
+                       if (ox, oy) > (0, 0))
+
+
+def _hook(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Join the components of nodes ``a[i]`` and ``b[i]``; returns the roots.
+
+    ``root`` holds every node's root on entry and on return.  Each round
+    hooks the greater root of every link whose ends' roots differ to the
+    lesser one (a root with several such links takes any one of them),
+    jumps every pointer to its root, and moves the links onto the new
+    roots.  Every round hooks at least one root, so the rounds stop when
+    no link is left.
+    """
+    a, b = root[a], root[b]
+    while True:
+        live = a != b
+        a, b = a[live], b[live]
+        if a.size == 0:
+            return root
+        root[np.maximum(a, b)] = np.minimum(a, b)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        a, b = root[a], root[b]
 
 
 def _cluster(px: np.ndarray, py: np.ndarray, radius: float) -> np.ndarray:
@@ -186,84 +223,95 @@ def _cluster(px: np.ndarray, py: np.ndarray, radius: float) -> np.ndarray:
 
     Returns each point's component number; the components are numbered
     from 0 in the order of their least index.  The points are bucketed
-    into square cells and only points in the same or neighbouring cells
-    are compared, so the work is linear in the number of points and
-    candidate pairs.  The result is exactly that of comparing all pairs:
+    into square cells, which are linked whole where one pair of their
+    points is close, so the work is linear in the number of points and
+    of the pairs in cells still apart.  The result is exactly that of
+    comparing all pairs with the same test, ``dx*dx + dy*dy <=
+    radius*radius``:
 
-    - Cells are at least ``radius`` wide: the side is ``radius * (1 +
-      1e-9)`` plus 1e-15 of the points' span, which covers the rounding of
-      the cell index (under 4.5e-16 of the span across a pair).  Two points
-      within ``radius`` therefore fall in the same cell or in neighbouring
-      ones, and every such pair is a candidate.  The side is also at least
-      2^-30 of the span, so cell keys fit in 64 bits.
-    - A candidate pair is linked by the same test, ``dx*dx + dy*dy <=
-      radius*radius``, that an all-pairs comparison makes.
-    - The components are found on positions in cell-key order, so no
-      index is mapped back until the end.  Every point starts as its own
-      root.  The links to each forward neighbour cell in turn move onto
-      their ends' roots, and a link whose ends share a root is dropped.
-      Each round then hooks the greater root of every link left to the
-      lesser one (a root with several such links takes any one of them),
-      jumps every pointer to its root, and moves the links onto the new
-      roots.  Every round hooks at least one root, so the rounds stop when
-      no link is left; the roots are then numbered by their components'
-      least indices.
+    - A cell lies within ``radius``: its side is ``radius * sqrt(1/2) *
+      (1 - 1e-9)`` less 1e-15 of the points' span, which covers the
+      rounding of the cell index (under 4.5e-16 of the span across a
+      pair).  Two points of one cell are therefore less than ``radius *
+      (1 - 1e-9)`` apart, and their float test passes, so each cell
+      starts as one node.
+    - Two points within ``radius`` lie at most two cells apart on each
+      axis, since two sides exceed ``radius`` by far more than the
+      rounding.  Each cell is compared with the 12 such cells after it.
+    - One point pair per neighbouring cell pair, their first points, is
+      tested first, and the pairs that pass join their cells.  Then every
+      point pair is tested, one offset at a time, for the cell pairs
+      whose components still differ; a pair it skips joins two cells
+      already joined, so it cannot change the components.
+    - The side is at least 2^-30 of the span, so cell keys fit in 64 bits.
+      Where that floor raises it, a cell is not known to lie within the
+      radius: then every point is its own node, pairs within a cell are
+      tested too, and no cell pair is skipped.
     """
     n = px.size
-    if n == 0:
-        return np.zeros(0, dtype=np.intp)
+    if n <= 1:
+        return np.zeros(n, dtype=np.intp)
     x0, y0 = float(px.min()), float(py.min())
     span = max(float(px.max()) - x0, float(py.max()) - y0)
-    side = max(radius * (1.0 + 1e-9) + 1e-15 * span, span * 2.0 ** -30) or 1.0
+    side = radius * math.sqrt(0.5) * (1.0 - 1e-9) - 1e-15 * span
+    whole = side >= span * 2.0 ** -30  # each cell lies within the radius
+    side = max(side, span * 2.0 ** -30) or 1.0
     cx = np.floor((px - x0) / side).astype(np.int64)
     cy = np.floor((py - y0) / side).astype(np.int64)
-    stride = int(cy.max()) + 2  # so no point has the key of (cx + 1, -1)
+    stride = int(cy.max()) + 3  # so no offset's key lands in another column
     key = cx * stride + cy
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     skey, sx, sy = key[order], px[order], py[order]
-    pos = np.arange(n)
-    root = pos.copy()
-    for ox, oy in _FORWARD_CELLS:
-        target = skey + (ox * stride + oy)
-        lo = np.searchsorted(skey, target, side="left")
-        hi = np.searchsorted(skey, target, side="right")
-        if (ox, oy) == (0, 0):
-            lo = pos + 1  # pairs within a cell once, never a point with itself
-        counts = hi - lo
+    first = np.flatnonzero(np.diff(skey, prepend=-1))  # each cell's first
+    ckey, size = skey[first], np.diff(first, append=n)
+    node = np.repeat(np.arange(ckey.size), size) if whole else np.arange(n)
+    root = np.arange(ckey.size if whole else n)
+    rr = radius * radius
+    # Neighbouring cell pairs (c, d), grouped by offset.
+    steps = _FORWARD_CELLS if whole else ((0, 0),) + _FORWARD_CELLS
+    target = (np.array([ox * stride + oy for ox, oy in steps])[:, None]
+              + ckey).ravel()
+    d = np.minimum(np.searchsorted(ckey, target), ckey.size - 1)
+    hit = np.flatnonzero(ckey[d] == target)
+    step, c = np.divmod(hit, ckey.size)
+    d = d[hit]
+    a, b = first[c], first[d]
+    dx, dy = sx[a] - sx[b], sy[a] - sy[b]
+    close = dx * dx + dy * dy <= rr
+    root = _hook(root, node[a[close]], node[b[close]])
+    if whole:
+        apart = np.flatnonzero(root[c] != root[d])
+        step, c, d = step[apart], c[apart], d[apart]
+    cuts = np.flatnonzero(np.diff(step)) + 1
+    for c, d in zip(np.split(c, cuts), np.split(d, cuts)):
+        if whole:
+            apart = root[c] != root[d]
+            c, d = c[apart], d[apart]
+        counts = size[c] * size[d]
         total = int(counts.sum())
         if total == 0:
             continue
-        a = np.repeat(pos, counts)
-        b = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        b += np.arange(total)
-        dx = np.repeat(sx, counts)
-        dx -= sx[b]
+        # Pair t of cells (c, d) is point t // size[d] of c and t % size[d]
+        # of d.
+        pair = np.repeat(np.arange(c.size), counts)
+        t = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        a, b = np.divmod(t, size[d][pair])
+        a += first[c][pair]
+        b += first[d][pair]
+        dx = sx[a] - sx[b]
         dx *= dx
-        dy = np.repeat(sy, counts)
-        dy -= sy[b]
+        dy = sy[a] - sy[b]
         dy *= dy
         dx += dy  # dx*dx + dy*dy
-        close = np.flatnonzero(dx <= radius * radius)
-        a, b = root[a[close]], root[b[close]]
-        while True:
-            live = a != b
-            a, b = a[live], b[live]
-            if a.size == 0:
-                break
-            root[np.maximum(a, b)] = np.minimum(a, b)
-            while True:
-                up = root[root]
-                if np.array_equal(up, root):
-                    break
-                root = up
-            a, b = root[a], root[b]
+        close = dx <= rr
+        root = _hook(root, node[a[close]], node[b[close]])
     labels = np.empty(n, dtype=np.intp)
-    labels[order] = root
+    labels[order] = root[node]
     # Number the components by their least indices.
-    _, first, inverse = np.unique(labels, return_index=True,
+    _, least, inverse = np.unique(labels, return_index=True,
                                   return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
+    rank = np.empty_like(least)
+    rank[np.argsort(least)] = np.arange(least.size)
     return rank[inverse]
 
 
@@ -271,9 +319,14 @@ def _representatives(px: np.ndarray, py: np.ndarray, vals: np.ndarray,
                      labels: np.ndarray) -> np.ndarray:
     """Index of each component's least (vals, px, py), in component order.
 
-    The sort is stable, so on a tie in all three the least index wins.
+    Only the points at their component's least value are sorted, by
+    (labels, px, py); the sort is stable, so on a tie in all three the
+    least index wins.
     """
-    order = np.lexsort((py, px, vals, labels))
+    least = np.full(int(labels.max(initial=-1)) + 1, np.inf)
+    np.minimum.at(least, labels, vals)
+    at = np.flatnonzero(vals == least[labels])
+    order = at[np.lexsort((py[at], px[at], labels[at]))]
     return order[np.flatnonzero(np.diff(labels[order], prepend=-1))]
 
 
@@ -360,12 +413,19 @@ def brute_force_minimize(config: SensorConfig,
               for z in config.Z)
 
     n = spec.resolution
+    m = max(2, int(round(spec.refine_factor)))
+    # The values and terms of the grid and of every round, which has at
+    # most _SURVIVOR_CAP parents and m^2 children of each.
+    size = max(n * n, (m * m + 1) * _SURVIVOR_CAP)
+    value_buf, term_buf = np.empty(size), np.empty(size)
     dx = (xmax - xmin) / n
     dy = (ymax - ymin) / n
     gx = xmin + (np.arange(n) + 0.5) * dx
     gy = ymin + (np.arange(n) + 0.5) * dy
     # Cell (i, j) of the grid is candidate i*n + j, at (gx[i], gy[j]).
-    vals = _evaluate(zs, dsq, gx[:, None], gy[None, :]).ravel()
+    vals = _evaluate(zs, dsq, gx[:, None], gy[None, :],
+                     out=value_buf[:n * n].reshape(n, n),
+                     term=term_buf[:n * n].reshape(n, n)).ravel()
     vmin = float(vals.min())
     round_values = [vmin]
     cell = math.hypot(dx, dy)
@@ -373,19 +433,19 @@ def brute_force_minimize(config: SensorConfig,
         _Axis(gx, n, n, 1, True), _Axis(gy, n, n, 1, False), vals, vmin,
         1e-3 * (1.0 + abs(vmin)), lip, cell)
 
-    m = max(2, int(round(spec.refine_factor)))
     for rnd in range(spec.refine_rounds):
         ox = ((np.arange(m) + 0.5) / m - 0.5) * dx
         oy = ((np.arange(m) + 0.5) / m - 0.5) * dy
         # The children's axes, each with its parents' row last.
         k, c = px.size, px.size * m * m  # parents, children
         xs, ys = np.empty((m + 1, k)), np.empty((m + 1, k))
-        allv = np.empty(c + k)
+        allv = value_buf[:c + k]
         np.add(px, ox[:, None], out=xs[:m])
         np.add(py, oy[:, None], out=ys[:m])
         xs[m], ys[m], allv[c:] = px, py, vals
         _evaluate(zs, dsq, xs[:m, None, :], ys[None, :m, :],
-                  out=allv[:c].reshape(m, m, k))
+                  out=allv[:c].reshape(m, m, k),
+                  term=term_buf[:c].reshape(m, m, k))
         vmin = float(allv.min())
         dx /= m
         dy /= m

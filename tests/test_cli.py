@@ -506,6 +506,21 @@ def test_grid_commands_reject_bad_grid_options(tmp_path, capsys, argv):
     assert json.loads(err)["error"]["code"] == "schema"
 
 
+@pytest.mark.parametrize("factor", ["nan", "inf", "1e300"])
+def test_oracle_refuses_a_factor_it_cannot_refine_by(tmp_path, capsys,
+                                                     factor):
+    """Each was a traceback: NaN passed the test against 1 and then failed
+    to round, inf overflowed, and 1e300 asked numpy for an array past its
+    size limit."""
+    general = {"sensors": [[0, 0], [4, 0.5], [1, 3]], "d": [2, 3, 2.5]}
+    rc, out, err = run(capsys, ["oracle", "--factor", factor,
+                                write_instance(tmp_path, general)])
+    assert rc == 3 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == "schema" and error["message"].startswith("grid:")
+
+
 @pytest.mark.parametrize("command", ["oracle", "contour"])
 def test_grid_commands_refuse_what_solve_refuses(tmp_path, capsys, command):
     """Sensors near 1e300: L^2 overflows, so every command exits 2."""

@@ -27,6 +27,11 @@ def test_grid_spec_validation():
         GridSpec((0.0, 1.0, 0.0, 1.0), refine_factor=1.0)
     with pytest.raises(ValueError):
         GridSpec((0.0, 1.0, 0.0, 1.0), refine_rounds=-1)
+    # No factor past the one whose round's block numpy can still index.
+    for factor in (math.nan, math.inf, 2.0 ** 25):
+        with pytest.raises(ValueError):
+            GridSpec((0.0, 1.0, 0.0, 1.0), refine_factor=factor)
+    assert GridSpec((0.0, 1.0, 0.0, 1.0), refine_factor=2.0 ** 24)
 
 
 def test_default_grid_covers_every_disk():
@@ -134,6 +139,18 @@ def _shuffled(rng, px, py):
     return px[order], py[order]
 
 
+def _cell_ends(origin, k, side):
+    """The least float in cell k of cells ``side`` wide from ``origin``, and
+    the greatest in cell k - 1, as the cell index floor((x - origin) / side)
+    rounds; both are among the 16 floats on each side of the edge."""
+    edge = origin + k * side
+    cand = edge[:, None] + np.arange(-16.0, 17.0) * np.spacing(edge)[:, None]
+    cell = np.floor((cand - origin) / side)
+    least = np.where(cell >= k[:, None], cand, np.inf).min(axis=1)
+    greatest = np.where(cell < k[:, None], cand, -np.inf).max(axis=1)
+    return least, greatest
+
+
 def _point_sets():
     rng = np.random.default_rng(4)
     yield "empty", np.array([]), np.array([]), 1.0
@@ -161,6 +178,43 @@ def _point_sets():
     base = rng.uniform(0.0, 1e6, (300, 2))
     pts = np.concatenate([base, base + rng.uniform(-7e-7, 7e-7, (300, 2))])
     yield "tiny-radius", *_shuffled(rng, pts[:, 0], pts[:, 1]), 1e-6
+    # the same floored cells, with pairs up to 4 radii apart: a cell is not
+    # within the radius, so its points are not one node
+    pts = np.concatenate([base, base + rng.uniform(-2e-6, 2e-6, (300, 2))])
+    yield "tiny-radius-apart", *_shuffled(rng, pts[:, 0], pts[:, 1]), 1e-6
+    # the two far corners of cells r/sqrt(2) wide, measured from the least
+    # coordinates as floats: the least point of a cell and the greatest
+    # one, which are often just over the radius apart
+    for seed, radius in enumerate((1.0, 0.37, 3.0 * 2.0 ** -7)):
+        gen = np.random.default_rng(20 + seed)
+        side = radius * math.sqrt(0.5)
+        x0, y0 = -1234.567 * radius, -987.654 * radius
+        t = np.arange(300.0)
+        kx = 4.0 * (t % 20) + gen.integers(1000, 3000)
+        ky = 4.0 * (t // 20) + gen.integers(1000, 3000)
+        px = [_cell_ends(x0, kx, side)[0], _cell_ends(x0, kx + 1.0, side)[1]]
+        py = [_cell_ends(y0, ky, side)[0], _cell_ends(y0, ky + 1.0, side)[1]]
+        yield (f"cell-corners-{seed}",
+               *_shuffled(gen, np.concatenate([*px, [x0]]),
+                          np.concatenate([*py, [y0]])), radius)
+    # pairs at exactly the radius 5/16, with offsets (5, 0), (0, 5),
+    # (3, 4), (4, -3) in 16ths, each pair alone in its 10 x 10 tile and
+    # placed on a 1/1024 lattice, so many lie two cells apart on an axis
+    gen = np.random.default_rng(7)
+    for name, (ux, uy) in (("x", (5, 0)), ("y", (0, 5)),
+                           ("diag-up", (3, 4)), ("diag-down", (4, -3))):
+        tiles = np.arange(300.0)
+        ax = 10.0 * (tiles % 20) + gen.integers(0, 4096, 300) / 1024.0
+        ay = 10.0 * (tiles // 20) + gen.integers(0, 4096, 300) / 1024.0
+        px = np.concatenate([ax, ax + ux / 16.0])
+        py = np.concatenate([ay, ay + uy / 16.0])
+        yield f"exact-radius-pairs-{name}", *_shuffled(gen, px, py), 5 / 16
+    # scattered points a few to a cell: cells often hold a close pair
+    # although their first points lie apart
+    for seed in range(3):
+        gen = np.random.default_rng(30 + seed)
+        px, py = gen.uniform(0.0, 12.0, (2, 1500))
+        yield f"scattered-{seed}", px, py, 0.25 + 0.05 * seed
     for seed in range(6):
         gen = np.random.default_rng(seed)
         centres = gen.uniform(-10.0, 10.0, (8, 2))
@@ -261,6 +315,28 @@ def test_representatives_match_the_per_group_min(ties):
         want = _reference_representatives(px, py, vals, _groups(labels))
         got = oracle._representatives(px, py, vals, labels)
         assert got.tolist() == want, trial
+
+
+def test_no_state_carries_over_between_calls(five_way_exact):
+    """Each call evaluates into buffers of its own: A, then B, then A."""
+    other = _seeded_general_layout(3)
+    spec = default_grid(five_way_exact, resolution=96, refine_rounds=4)
+    first = brute_force_minimize(five_way_exact, spec)
+    brute_force_minimize(other, default_grid(other, resolution=128,
+                                             refine_rounds=3,
+                                             refine_factor=3.0))
+    assert brute_force_minimize(five_way_exact, spec) == first
+
+
+def test_evaluate_into_given_buffers_is_bit_identical():
+    zs, dsq = oracle._sensor_arrays(_seeded_general_layout(0))
+    rng = np.random.default_rng(5)
+    px = rng.uniform(-9.0, 9.0, (3, 1, 40))
+    py = rng.uniform(-9.0, 9.0, (1, 3, 40))
+    fresh = oracle._evaluate(zs, dsq, px, py)
+    out, term = np.full((2, 3, 3, 40), np.nan)
+    assert oracle._evaluate(zs, dsq, px, py, out=out, term=term) is out
+    assert out.tobytes() == fresh.tobytes()
 
 
 def test_objective_scalar_on_floats_is_bit_identical():
