@@ -12,10 +12,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (DegenerateDirection, MissingIntersection,
                      PreconditionViolation)
-from .geometry import (SQRT3_2, Point2, SensorConfig, _frame_basis,
-                       canonical_frame, centroid_points,
-                       circle_circle_intersect, config_scale, distance,
-                       n3_point)
+from .geometry import (CIRCLE_PAIRS, SQRT3_2, CanonicalFrame, Point2,
+                       SensorConfig, _frame_basis, canonical_frame,
+                       centroid_points, circle_circle_intersect, config_scale,
+                       distance, n3_point)
 from .regions import objective_at, objective_value
 from .thresholds import _require_usable_scale, compute_bundle, row_thresholds
 
@@ -25,12 +25,8 @@ Role = str
 # A candidate before it wins: coordinates and role, as plain values.
 Candidate = Tuple[float, float, Role]
 
-# Circle pairs (i, j); the third sensor tells "plus" from "minus".
-_PAIRS: Tuple[Tuple[str, int, int], ...] = (
-    ("S12", 0, 1), ("S23", 1, 2), ("S31", 2, 0))
-
 _PAIR_BY_ROLE = {name + side: (i, j, side == "plus")
-                 for name, i, j in _PAIRS for side in ("plus", "minus")}
+                 for name, i, j in CIRCLE_PAIRS for side in ("plus", "minus")}
 
 # The cyclic relabelings of the sensors; each puts a different pair at the
 # base.
@@ -252,6 +248,14 @@ def _near_threshold(r: float, s: float, d1: float,
     return tuple((name, x - v) for name, x, v in values if v is not None)
 
 
+def _snap(r: float, s: float, tol: float) -> Tuple[float, bool]:
+    """Apex height s, or the equilateral height within ``tol * r`` of it, and
+    whether it snapped.  A snapped height snaps to itself."""
+    t3 = SQRT3_2 * r
+    snapped = abs(s - t3) <= tol * r
+    return (t3 if snapped else s), snapped
+
+
 def _tables(r: float, s: float, d1: float, d3_lo: float, d3_hi: float,
             tol: float) -> Tuple[float, Tuple[Block, ...], str]:
     """Apex height, case tables and family name for the cells (d1, d3) with
@@ -266,14 +270,11 @@ def _tables(r: float, s: float, d1: float, d3_lo: float, d3_hi: float,
     # Written to refuse a NaN r, s or d1 too; a NaN d3 fails in the scan.
     if not (r > 0.0 and s > 0.0 and d1 >= 0.0) or d3_lo < 0.0:
         raise PreconditionViolation("need r, s > 0 and nonnegative ranges")
-    t3 = SQRT3_2 * r
-    equilateral = abs(s - t3) <= tol * r
-    if equilateral:
-        s = t3
+    s, equilateral = _snap(r, s, tol)
     base = max(r, math.hypot(r / 2.0, s))
     _require_usable_scale(base + max(d1, d3_lo))
     _require_usable_scale(base + max(d1, d3_hi))
-    regime = "flat" if s < t3 else "sharp"
+    regime = "flat" if s < SQRT3_2 * r else "sharp"
     family = "equilateral" if equilateral else f"isosceles-{regime}"
     return s, _isosceles_blocks(r, s, d1, regime), family
 
@@ -322,10 +323,9 @@ def multiplicity_conditions(r: float, s: float, d1: float, d3: float,
         raise PreconditionViolation("need r, s > 0 and nonnegative ranges")
     _require_usable_scale(max(r, math.hypot(r / 2.0, s)) + max(d1, d3))
     eps = tol * (r + s + d1 + abs(d3))
-    t3 = SQRT3_2 * r
-    equilateral = abs(s - t3) <= tol * r
-    sharp = (not equilateral) and s > t3
-    flat = (not equilateral) and s < t3
+    _, equilateral = _snap(r, s, tol)
+    sharp = (not equilateral) and s > SQRT3_2 * r
+    flat = (not equilateral) and s < SQRT3_2 * r
     a = math.sqrt(r * r / 4.0 + s * s / 9.0)
     b = math.sqrt(r * r / 4.0 + s * s)
     row = row_thresholds(r, s, d1)
@@ -419,7 +419,7 @@ def _scan(config: SensorConfig, length: float, tol: float) -> SolutionSet:
     zs, ds = config.Z, config.d
 
     candidates: List[Candidate] = []
-    for name, i, j in _PAIRS:
+    for name, i, j in CIRCLE_PAIRS:
         pts = circle_circle_intersect(config, i, j)
         if pts:
             p, m = pts[0], pts[-1]
@@ -454,7 +454,7 @@ def _scan(config: SensorConfig, length: float, tol: float) -> SolutionSet:
 # ---------------------------------------------------------------------------
 # dispatch
 
-_PAIR_NAME = {frozenset((i, j)): name for name, i, j in _PAIRS}
+_PAIR_NAME = {frozenset((i, j)): name for name, i, j in CIRCLE_PAIRS}
 
 
 def _remap_role(role: Role, perm: Tuple[int, int, int]) -> Role:
@@ -471,35 +471,37 @@ def _remap_role(role: Role, perm: Tuple[int, int, int]) -> Role:
     return role
 
 
-def equal_base_ranges(d_a: float, d_b: float, length: float,
-                      tol: float) -> bool:
-    """Whether two base ranges count as equal at length scale ``length``.
-
-    ``solve`` and the ``thresholds`` command both route on this test.
-    """
-    return abs(d_a - d_b) <= tol * length
+def symmetric_form(config: SensorConfig, length: float, tol: float
+                   ) -> Optional[Tuple[Tuple[int, int, int], CanonicalFrame,
+                                       float, float, float]]:
+    """(perm, frame, s, d1, d3) for the case tables, or None where ``solve``
+    scans: the first relabeling isosceles with base ranges equal within tol
+    times L = ``length``, its canonical frame, its apex height after the
+    equilateral snap and ranges (d1, d1, d3).  Degenerate ones are refused."""
+    for perm in _RELABELINGS:
+        z = tuple(config.Z[i] for i in perm)
+        d = tuple(config.d[i] for i in perm)
+        _frame_basis(*z, tol)
+        if abs(d[0] - d[1]) <= tol * length:
+            frame = canonical_frame(*z, tol=tol)
+            if frame.isosceles:
+                s, _ = _snap(frame.r, frame.s, tol)
+                return perm, frame, s, (d[0] + d[1]) / 2.0, d[2]
+    return None
 
 
 def solve(config: SensorConfig, tol: float = 1e-9) -> SolutionSet:
     """Route to the symmetric tables when a relabeling fits, else scan."""
     length = config_scale(config)
     _require_usable_scale(length)
-    for perm in _RELABELINGS:
-        z = tuple(config.Z[i] for i in perm)
-        d = tuple(config.d[i] for i in perm)
-        _frame_basis(*z, tol)  # refuses a degenerate relabeling in turn
-        if not equal_base_ranges(d[0], d[1], length, tol):
-            continue
-        sub = canonical_frame(*z, tol=tol)
-        if not sub.isosceles:
-            continue
-        d1 = (d[0] + d[1]) / 2.0
-        sol = solve_isosceles(sub.r, sub.s, d1, d[2], tol=tol)
-        points = tuple(
-            CandidatePoint(sub.invert(c.location),
-                           _remap_role(c.role, perm))
-            for c in sol.points)
-        value = min(objective_value(config, c.location) for c in points)
-        return SolutionSet(points, value, sol.multiplicity, sol.derivation,
-                           sol.near_threshold)
-    return _scan(config, length, tol)
+    form = symmetric_form(config, length, tol)
+    if form is None:
+        return _scan(config, length, tol)
+    perm, frame, s, d1, d3 = form
+    sol = solve_isosceles(frame.r, s, d1, d3, tol=tol)
+    points = tuple(
+        CandidatePoint(frame.invert(c.location), _remap_role(c.role, perm))
+        for c in sol.points)
+    value = min(objective_value(config, c.location) for c in points)
+    return SolutionSet(points, value, sol.multiplicity, sol.derivation,
+                       sol.near_threshold)

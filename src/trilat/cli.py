@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import classifier, thresholds
 from .errors import PreconditionViolation, TrilatError
-from .geometry import (NoiseSpec, Point2, SensorConfig, canonical_frame,
+from .geometry import (CIRCLE_PAIRS, NoiseSpec, Point2, SensorConfig,
                        config_scale, distance, generate_instance)
 from .regions import objective_table
 
@@ -73,7 +73,8 @@ _FOUR_EQUAL_ROWS: Tuple[Tuple[str, Tuple[float, ...]], ...] = (
     ("d", (18.1818, 18.1818, 18.1818, 118.1818, 18.1818, 18.1818)),
 )
 
-_TABLE_COLUMNS = ("S12+", "S23+", "S31+", "S12-", "S23-", "S31-")
+_TABLE_COLUMNS = tuple(name + sign for sign in "+-"
+                       for name, _, _ in CIRCLE_PAIRS)
 
 
 def reconstruct_four_equal(o12_plus: float,
@@ -374,7 +375,10 @@ def cmd_contour(args: argparse.Namespace) -> int:
         raise _SchemaError("contour resolution must be at least 2")
     from . import oracle
     config = _load_usable_instance(args)
-    xs, ys, vals = oracle.contour_grid(config, resolution=args.resolution)
+    try:
+        xs, ys, vals = oracle.contour_grid(config, resolution=args.resolution)
+    except ValueError as exc:
+        raise _SchemaError(f"grid: {exc}") from exc
     buf, writer = _csv_buffer()
     writer.writerow(["x", "y", "objective"])
     for i, x in enumerate(xs):
@@ -387,18 +391,14 @@ def cmd_contour(args: argparse.Namespace) -> int:
 def cmd_thresholds(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     config = _load_usable_instance(args)
-    frame = canonical_frame(*config.Z, tol=tol)
-    if not frame.isosceles:
-        raise PreconditionViolation("thresholds need an isosceles layout")
-    if not classifier.equal_base_ranges(config.d[0], config.d[1],
-                                        config_scale(config), tol):
-        raise PreconditionViolation("thresholds need equal base ranges")
-    d1 = (config.d[0] + config.d[1]) / 2.0
-    bundle = dataclasses.asdict(thresholds.compute_bundle(
-        frame.r, frame.s, d1, config.d[2]))
+    form = classifier.symmetric_form(config, config_scale(config), tol)
+    if form is None:
+        raise PreconditionViolation("solve scans this layout: no case table")
+    _, frame, s, d1, d3 = form
+    bundle = dataclasses.asdict(thresholds.compute_bundle(frame.r, s, d1, d3))
     payload = {
         "schema": SCHEMA,
-        "r": frame.r, "s": frame.s, "d1": d1, "d3": config.d[2],
+        "r": frame.r, "s": s, "d1": d1, "d3": d3,
         **bundle,
         # t_star is valid exactly where d3_star is.
         "validity": {name: value is not None

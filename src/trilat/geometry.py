@@ -110,6 +110,11 @@ def config_scale(config: SensorConfig) -> float:
     return span + max(config.d)
 
 
+# (name, i, j) of each pair of range circles, in report order; its "plus"
+# and "minus" points are those of ``circle_circle_intersect(config, i, j)``.
+CIRCLE_PAIRS = (("S12", 0, 1), ("S23", 1, 2), ("S31", 2, 0))
+
+
 def circle_circle_intersect(config: SensorConfig, i: int,
                             j: int) -> Tuple[Point2, ...]:
     """Distinct meeting points of range circles i and j: (), (p,) or

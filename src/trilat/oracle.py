@@ -20,6 +20,12 @@ from .geometry import NoiseSpec, generate_instance  # noqa: F401
 _SURVIVOR_CAP = 2048
 
 
+def _indexable(floats: int) -> bool:
+    """Whether numpy can index one block of ``floats`` 8-byte floats: its
+    byte count must fit an intp."""
+    return floats * 8 <= np.iinfo(np.intp).max
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Search window and refinement schedule for the grid minimizer."""
@@ -35,15 +41,25 @@ class GridSpec:
             raise ValueError("bounds must span a nonempty rectangle")
         if self.resolution < 8:
             raise ValueError("resolution too small")
+        # The grid's values are one block of n^2 floats, a round's one of
+        # (m^2 + 1) * _SURVIVOR_CAP.
+        if not _indexable(self.resolution ** 2):
+            raise ValueError("resolution too large to index its grid")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be nonnegative")
         if not 1.0 < self.refine_factor < math.inf:
             raise ValueError("refine_factor must be finite and exceed 1")
-        # A round's values are one block of (m^2 + 1) * _SURVIVOR_CAP
-        # 8-byte floats, whose byte count numpy indexes with an intp.
         m = round(self.refine_factor)
-        if (m * m + 1) * _SURVIVOR_CAP * 8 > np.iinfo(np.intp).max:
+        if not _indexable((m * m + 1) * _SURVIVOR_CAP):
             raise ValueError("refine_factor too large to index a round")
+        # Each round divides the cell width by max(2, m).  Below 2^-1074,
+        # the least positive float, it is 0: the round count is judged on
+        # logarithms, never by computing max(2, m) ** refine_rounds.
+        width = min(xmax - xmin, ymax - ymin) / self.resolution
+        if not (width > 0.0 and self.refine_rounds
+                <= (math.log2(width) + 1074.0) / math.log2(max(2, m))):
+            raise ValueError("refine_rounds too many: the cell width "
+                             "underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -382,8 +398,7 @@ def _refine_rep(config: SensorConfig, zs: _Terms, dsq: Sequence[float],
     return best_x, best_y
 
 
-def brute_force_minimize(config: SensorConfig,
-                         spec: Optional[GridSpec] = None) -> OracleResult:
+def brute_force_minimize(config: SensorConfig, spec: GridSpec) -> OracleResult:
     """Locate every near-global minimum on a refined grid, then cluster.
 
     Each refine round evaluates only the survivors' children: child (i, j)
@@ -401,8 +416,6 @@ def brute_force_minimize(config: SensorConfig,
     triples (an odd factor puts the middle child on its parent) cannot be
     told apart, so keeping either gives the same result.
     """
-    if spec is None:
-        spec = default_grid(config)
     _check_bounds(config, spec)
     zs, dsq = _sensor_arrays(config)
     xmin, xmax, ymin, ymax = spec.bounds
@@ -490,7 +503,10 @@ def brute_force_minimize(config: SensorConfig,
 def contour_grid(config: SensorConfig, resolution: int = 256
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Objective sampled on a grid over the disks' bounding box, widened by
-    a fifth of its width and height on each side."""
+    a fifth of its width and height on each side.  Refuses, as ``GridSpec``
+    does, a resolution whose block of values numpy cannot index."""
+    if not _indexable(resolution ** 2):
+        raise ValueError("resolution too large to index its grid")
     zs, dsq = _sensor_arrays(config)
     xmin = min(z.x - d for z, d in zip(config.Z, config.d))
     xmax = max(z.x + d for z, d in zip(config.Z, config.d))

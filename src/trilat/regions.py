@@ -4,8 +4,8 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .errors import MissingIntersection
-from .geometry import (Point2, SensorConfig, circle_circle_intersect,
-                       config_scale)
+from .geometry import (CIRCLE_PAIRS, Point2, SensorConfig,
+                       circle_circle_intersect, config_scale)
 
 
 def objective_at(zs: Sequence[Point2], ds: Sequence[float], x: float,
@@ -21,12 +21,6 @@ def objective_value(config: SensorConfig, w: Point2) -> float:
     return objective_at(config.Z, config.d, w.x, w.y)
 
 
-_TABLE_PAIRS: Tuple[Tuple[str, int, int], ...] = (
-    ("S12+", 0, 1), ("S23+", 1, 2), ("S31+", 2, 0),
-    ("S12-", 0, 1), ("S23-", 1, 2), ("S31-", 2, 0),
-)
-
-
 def objective_table(config: SensorConfig,
                     tie_tol: float = 1e-9) -> List[Tuple[str, float, bool]]:
     """Objective at the six pairwise intersection points, minima flagged.
@@ -36,12 +30,13 @@ def objective_table(config: SensorConfig,
     inputs themselves are rounded.
     """
     values: List[Tuple[str, float]] = []
-    for label, i, j in _TABLE_PAIRS:
-        pts = circle_circle_intersect(config, i, j)
-        if not pts:
-            raise MissingIntersection(f"circles {label[:3]} do not meet")
-        point = pts[0] if label.endswith("+") else pts[-1]
-        values.append((label, objective_value(config, point)))
+    for sign in "+-":
+        for name, i, j in CIRCLE_PAIRS:
+            pts = circle_circle_intersect(config, i, j)
+            if not pts:
+                raise MissingIntersection(f"circles {name} do not meet")
+            point = pts[0] if sign == "+" else pts[-1]
+            values.append((name + sign, objective_value(config, point)))
     vmin = min(v for _, v in values)
     length = config_scale(config)
     cut = vmin + tie_tol * length * length

@@ -96,9 +96,13 @@ def threshold_P_flat(r: float, s: float) -> Optional[float]:
 
 
 def threshold_Q(r: float, s: float) -> Optional[float]:
-    """Chord-excess value equivalent to d1 = P (tall apex only)."""
+    """Chord-excess value equivalent to d1 = P (tall apex only).
+
+    Gated as ``threshold_P``, so it is absent wherever P is: at the
+    equilateral height 4s^2 - 3r^2 may round above 0.
+    """
     den = 4.0 * s * s - 3.0 * r * r
-    if den <= 0.0:
+    if s <= SQRT3_2 * r or den <= 0.0:
         return None
     return 8.0 * r * r * s / den
 

@@ -6,6 +6,8 @@ installed, and judges every answer with ``perfbench/checks.py``.  The slice
 must end cleanly, with no failed operation and no problem, and every traced
 function must still exist under its name.
 """
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -34,3 +36,18 @@ def test_trace_slice_passes_the_benchmark_checks(workload):
     assert result["failed"] == 0
     assert result["problem_count"] == 0, result["problems"]
     assert set(result["absent"]) <= _KNOWN_ABSENT
+
+
+def test_every_traced_name_resolves():
+    """Each function ``perfbench/tracing.py`` wraps exists in trilat under
+    its name, so a rename is caught here, not as a stage the traced run
+    reports absent."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    absent = {f"{module}.{name}"
+              for module, names in tracing.TARGETS.items() for name in names
+              if not hasattr(importlib.import_module("trilat." + module),
+                             name)}
+    assert absent <= _KNOWN_ABSENT

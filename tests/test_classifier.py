@@ -630,8 +630,7 @@ def _ref_solve(config, tol=1e-9):
         z = tuple(config.Z[i] for i in perm)
         d = tuple(config.d[i] for i in perm)
         sub = canonical_frame(*z, tol=tol)
-        if not (sub.isosceles
-                and classifier.equal_base_ranges(d[0], d[1], length, tol)):
+        if not (sub.isosceles and abs(d[0] - d[1]) <= tol * length):
             continue
         sol = solve_isosceles(sub.r, sub.s, (d[0] + d[1]) / 2.0, d[2], tol=tol)
         points = tuple(

@@ -521,6 +521,22 @@ def test_oracle_refuses_a_factor_it_cannot_refine_by(tmp_path, capsys,
     assert error["code"] == "schema" and error["message"].startswith("grid:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--rounds", "100000000000000000000"],
+    ["oracle", "--resolution", "10000000000"],
+    ["contour", "--resolution", "10000000000"],
+], ids=" ".join)
+def test_grid_commands_refuse_grids_they_cannot_build(tmp_path, capsys, argv):
+    """The round count ran on after the cell width reached 0, and the two
+    resolutions asked numpy for arrays past its size limit (a traceback)."""
+    rc, out, err = run(capsys, [*argv, write_instance(tmp_path,
+                                                      FIVE_WAY_EXACT)])
+    assert rc == 3 and out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == "schema" and error["message"].startswith("grid:")
+
+
 @pytest.mark.parametrize("command", ["oracle", "contour"])
 def test_grid_commands_refuse_what_solve_refuses(tmp_path, capsys, command):
     """Sensors near 1e300: L^2 overflows, so every command exits 2."""

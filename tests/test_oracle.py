@@ -34,6 +34,24 @@ def test_grid_spec_validation():
     assert GridSpec((0.0, 1.0, 0.0, 1.0), refine_factor=2.0 ** 24)
 
 
+def test_grid_spec_refuses_grids_it_cannot_refine_or_index():
+    """Decided by arithmetic on the sizes: nothing is allocated."""
+    box = (0.0, 1.0, 0.0, 1.0)
+    # Cells 2^-3 wide, quartered each round: 2^-1073 after 535 rounds, and
+    # 2^-1075, which rounds to 0, after 536.
+    assert GridSpec(box, resolution=8, refine_rounds=535)
+    for rounds in (536, 10 ** 20, 10 ** 400):
+        with pytest.raises(ValueError, match="underflows"):
+            GridSpec(box, resolution=8, refine_rounds=rounds)
+    # n^2 floats take 8 n^2 bytes, which an intp indexes up to n = 2^30 - 1.
+    assert GridSpec(box, resolution=2 ** 30 - 1)
+    for n in (2 ** 30, 10 ** 10):
+        with pytest.raises(ValueError, match="index"):
+            GridSpec(box, resolution=n)
+        with pytest.raises(ValueError, match="index"):
+            contour_grid(canonical(2.0, 3.0, 7.0, 6.0), resolution=n)
+
+
 def test_default_grid_covers_every_disk():
     cfg = canonical(2.0, 3.0, 7.0, 6.0)
     spec = default_grid(cfg)

@@ -164,6 +164,21 @@ def test_P_absent_where_the_height_rounds_to_equilateral():
     assert th.threshold_Q(r, s) is None
 
 
+def test_Q_absent_wherever_P_is():
+    """Q is the chord excess at d1 = P, so it exists exactly where P does.
+
+    At the equilateral height 4 s^2 - 3 r^2 may round above 0 (it did for
+    89 of these 2,000 r), where Q read about 1e16 while P was absent.
+    """
+    rng = random.Random(29)
+    for _ in range(2000):
+        r = rng.uniform(0.1, 10.0)
+        for s in (th.SQRT3_2 * r, rng.uniform(0.1, 10.0)):
+            b = th.compute_bundle(r, s, rng.uniform(0.0, 20.0),
+                                  rng.uniform(0.0, 20.0))
+            assert (b.P is None) == (b.Q is None), (r, s)
+
+
 def test_Q_value():
     # 8 r^2 s / (4 s^2 - 3 r^2) on the sharp side
     q = th.threshold_Q(2.0, 3.0)

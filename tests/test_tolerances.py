@@ -9,18 +9,24 @@ the last bits, so they agree to 1e-14 relative.  Scaling by any other
 factor rounds the inputs, so there only the multiplicity and the
 derivation must stay.
 """
+import io
 import itertools
+import json
 import math
+import random
 import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trilat import classifier
+from trilat import classifier, cli
 from trilat.errors import TrilatError
-from trilat.geometry import Point2, SensorConfig
+from trilat.geometry import SQRT3_2, Point2, SensorConfig, config_scale
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "trilat"
 
@@ -139,6 +145,147 @@ def test_solve_multiplicity_survives_a_rigid_motion(config, angle, tx, ty):
     moved = _moved(config, lambda x, y: (c * x - s * y + tx,
                                          s * x + c * y + ty))
     assert _multiplicity(moved) == _multiplicity(config)
+
+
+# ``trilat thresholds`` reports on the instance ``solve`` hands the case
+# tables, so it too answers the same way however the layout is labeled or
+# placed.  Random layouts are seldom isosceles, so the relabelings and the
+# reflection, which are exact, also see moved isosceles ones.  Neither kind
+# comes within 1e-9 of the equilateral height: 4 s^2 - 3 r^2 is a nonzero
+# multiple of 2^-20 and r^2 stays below 138.  A rotation is not exact, and
+# on a thin isosceles layout it can move the apex off the bisector by more
+# than tol * r, so there the route itself changes (ROADMAP, "Defects").
+
+def _relabeled(config, perm):
+    return SensorConfig(tuple(config.Z[i] for i in perm),
+                        tuple(config.d[i] for i in perm))
+
+
+_SYMMETRIC = st.builds(
+    lambda cell, perm, tx, ty: _moved(
+        _relabeled(SensorConfig.from_canonical(
+            cell[0], cell[1], (cell[2], cell[2], cell[3])), perm),
+        lambda x, y: (x + tx, y + ty)),
+    _CELLS, st.permutations(range(3)), _COORD, _COORD)
+_ANY_LAYOUT = st.one_of(_LAYOUTS, _SYMMETRIC)
+
+
+def _thresholds(config):
+    """``trilat thresholds`` on ``config``: its exit code and its report,
+    or the code of its error."""
+    obj = {"sensors": [[z.x, z.y] for z in config.Z], "d": list(config.d)}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(obj))), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["thresholds", "-"])
+    if code:
+        return code, json.loads(err.getvalue())["error"]["code"]
+    return code, json.loads(out.getvalue())
+
+
+def _assert_same_thresholds(config, moved):
+    """``moved`` gets the answer ``config`` gets, or the same refusal, with
+    r, s, d1 and d3 within 1e-12 L."""
+    (code, want), (got_code, got) = _thresholds(config), _thresholds(moved)
+    assert got_code == code
+    if code:
+        assert got == want
+        return
+    eps = 1e-12 * config_scale(config)
+    for key in ("r", "s", "d1", "d3"):
+        assert abs(got[key] - want[key]) <= eps, key
+
+
+@given(_ANY_LAYOUT)
+def test_thresholds_do_not_depend_on_sensor_labels(config):
+    for perm in itertools.permutations(range(3)):
+        _assert_same_thresholds(config, _relabeled(config, perm))
+
+
+@given(_ANY_LAYOUT)
+def test_thresholds_survive_a_reflection(config):
+    _assert_same_thresholds(config, _moved(config, lambda x, y: (-x, y)))
+
+
+@given(_LAYOUTS, st.floats(0.0, 2.0 * math.pi), _COORD, _COORD)
+def test_thresholds_survive_a_rigid_motion(config, angle, tx, ty):
+    c, s = math.cos(angle), math.sin(angle)
+    _assert_same_thresholds(config, _moved(
+        config, lambda x, y: (c * x - s * y + tx, s * x + c * y + ty)))
+
+
+def _seeded_symmetric_layouts():
+    """Isosceles layouts, relabeled and moved, a third of them within 1e-9
+    of the equilateral height, where the apex snaps."""
+    rng = random.Random(2911)
+    perms = list(itertools.permutations(range(3)))
+    for k in range(300):
+        r = rng.uniform(0.2, 5.0)
+        s = (SQRT3_2 * r * (1.0 + rng.uniform(-1e-9, 1e-9)) if k % 3 == 0
+             else rng.uniform(0.2, 5.0))
+        config = _relabeled(SensorConfig.from_canonical(
+            r, s, (rng.uniform(0.0, 12.0),) * 2 + (rng.uniform(0.0, 12.0),)),
+            rng.choice(perms))
+        c, sn = math.cos(k), math.sin(k)
+        yield _moved(config, lambda x, y: (c * x - sn * y + 1.0,
+                                           sn * x + c * y - 2.0))
+
+
+# (near_threshold name, the input it is measured from) of the radii that
+# ``thresholds`` reports under the same name.
+_MEASURED = (("R", "d3"), ("M", "d3"), ("P", "d1"), ("d3_star", "d3"))
+
+
+def test_thresholds_report_the_radii_solve_measures_from():
+    """Where ``solve`` answers from the case tables, ``thresholds`` answers,
+    and each of its R, M, P and d3* lies exactly the signed distance from d1
+    or d3 that ``solve`` reports as near_threshold."""
+    for config in _seeded_symmetric_layouts():
+        sol = classifier.solve(config)
+        assert sol.derivation != "general-scan", config
+        code, report = _thresholds(config)
+        assert code == 0, report
+        near = dict(sol.near_threshold)
+        for name, of in _MEASURED:
+            want = (None if report[name] is None
+                    else report[of] - report[name])
+            assert near.get(name) == want, (name, config)
+
+
+# The five-way certificate, r = 2, s = 3, d = (sqrt 50, sqrt 50, sqrt 40).
+_CERTIFICATE = SensorConfig.from_canonical(
+    2.0, 3.0, (math.sqrt(50.0), math.sqrt(50.0), math.sqrt(40.0)))
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))),
+                         ids=str)
+def test_thresholds_answer_the_certificate_in_every_order(perm):
+    """Listed in four of these orders, (1, 2, 0) among them, the certificate
+    was refused as not isosceles, though ``solve`` found its five
+    minimizers."""
+    config = _relabeled(_CERTIFICATE, perm)
+    assert classifier.solve(config).multiplicity == 5
+    code, report = _thresholds(config)
+    assert code == 0, report
+    assert (report["r"], report["s"]) == (2.0, 3.0)
+    assert (report["d1"], report["d3"]) == (math.sqrt(50.0), math.sqrt(40.0))
+    assert report["P"] == pytest.approx(math.sqrt(50.0), rel=1e-12)
+    assert report["d3_star"] is None  # exactly at P: no bracket
+
+
+@pytest.mark.parametrize("r,s", [(2.0, 1.7320508080),
+                                 (0.6890869349099817, 0.5967667910479981)])
+def test_thresholds_report_the_snapped_apex(r, s):
+    """Within tol * r of the equilateral height ``solve`` snaps the apex to
+    it, where there is no P.  The thresholds once read the raw height and
+    gave P and Q near 1e10, or Q near 1e16 alone."""
+    config = SensorConfig.from_canonical(r, s, (5.0, 5.0, 3.0))
+    assert classifier.solve(config).derivation == "equilateral:4.1"
+    code, report = _thresholds(config)
+    assert code == 0, report
+    assert report["s"] == SQRT3_2 * r
+    assert report["P"] is None and report["Q"] is None
+    assert not report["validity"]["P"] and not report["validity"]["Q"]
 
 
 # General layouts, drawn as criterion 6 draws them, whose multiplicity once
